@@ -14,6 +14,7 @@ by the (parallel) compute.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Generator, List, Sequence
 
 from ..fs.vfs import O_CREAT, O_RDWR, Vfs
@@ -128,9 +129,12 @@ class TextIndexer:
             yield from core.compute(
                 TOKENIZE_UNITS_PER_BYTE * len(text), "branchy"
             )
-            for token in text.decode(errors="replace").split():
+            # Counter keeps first-occurrence order, so ``partial`` gets
+            # its terms in the same order as a per-token loop would.
+            counts = Counter(text.decode(errors="replace").split())
+            for token, n in counts.items():
                 bucket = partial.setdefault(token, {})
-                bucket[doc] = bucket.get(doc, 0) + 1
+                bucket[doc] = bucket.get(doc, 0) + n
             result.docs_indexed += 1
 
     def _write_index(

@@ -44,7 +44,7 @@ class SyntheticCorpus:
         for w in weights:
             acc += w / total
             cdf.append(acc)
-        self._cdf = cdf
+        self._cdf = np.asarray(cdf)
 
     def doc_name(self, i: int) -> str:
         return f"doc{i:05d}.txt"
@@ -55,11 +55,10 @@ class SyntheticCorpus:
         target = int(self.avg_doc_bytes * (0.5 + rng.random()))
         # Every word is "wNNNNN " = 7 bytes including the separator.
         n_words = max(1, target // 7)
-        cdf = np.asarray(self._cdf)
-        picks = np.searchsorted(cdf, rng.random(n_words), side="left")
+        picks = np.searchsorted(self._cdf, rng.random(n_words), side="left")
         picks = np.minimum(picks, self.vocab_size - 1)
-        vocab = np.asarray(self._vocab)
-        return " ".join(vocab[picks]).encode()
+        vocab = self._vocab
+        return " ".join([vocab[p] for p in picks.tolist()]).encode()
 
     def total_bytes(self) -> int:
         return sum(len(self.doc_bytes(i)) for i in range(self.n_docs))

@@ -160,8 +160,13 @@ def fs_random_io(
     total_mb: Optional[int] = None,
     seed: int = 1,
     overrides: Optional[dict] = None,
+    counters: Optional[dict] = None,
 ) -> float:
-    """Random read/write throughput in GB/s (the Fig. 1a/11/12 core)."""
+    """Random read/write throughput in GB/s (the Fig. 1a/11/12 core).
+
+    If ``counters`` is given, it receives the measured region's
+    ``ops`` and the engine ``events`` that ran them.
+    """
     setup = setup_fs_stack(stack, max_threads=n_threads, overrides=overrides)
     eng = setup.engine
     # Stacks cap usable cores (e.g. the Phi reserves dispatcher cores):
@@ -208,6 +213,7 @@ def fs_random_io(
         yield from setup.vfs.close(core, fd)
 
     start = eng.now
+    events_before = eng.events_processed
     procs = []
     for t in range(n_threads):
         offsets = [
@@ -219,6 +225,9 @@ def fs_random_io(
         bad = next(p for p in procs if not p.ok)
         raise bad.value
     elapsed = eng.now - start
+    if counters is not None:
+        counters["ops"] = ops_per_thread * n_threads
+        counters["events"] = eng.events_processed - events_before
     if setup.system is not None:
         setup.system.shutdown()
     return moved[0] / elapsed if elapsed else 0.0

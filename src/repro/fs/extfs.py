@@ -470,13 +470,16 @@ class ExtFS:
         """
         bs = self.sb.block_size
         pos = offset % bs
-        remaining = data
+        start, end = 0, len(data)
         for first, count in extents:
             for blockno in range(first, first + count):
-                if not remaining:
+                if start >= end:
                     return
+                # Slice by offset: re-slicing the tail per block would
+                # copy it again for every block (quadratic in nbytes).
                 room = bs - pos
-                chunk, remaining = remaining[:room], remaining[room:]
+                chunk = data[start:start + room]
+                start += room
                 if pos == 0 and len(chunk) == bs:
                     self.device.write_block_data(blockno, chunk)
                 else:

@@ -6,7 +6,9 @@ process-interaction style (as popularized by SimPy) but is intentionally
 minimal and fully deterministic:
 
 * time is an integer number of **nanoseconds** (no floating-point drift),
-* event delivery order is a stable ``(time, sequence)`` order,
+* event delivery order is a stable ``(time, sequence)`` order (zero-delay
+  callbacks wait in a FIFO ready queue that drains after the heap entries
+  already due at the current time, which is the same order),
 * processes are plain Python generators that ``yield`` either a delay
   (``int`` nanoseconds) or an :class:`Event` to wait on.
 
@@ -30,6 +32,8 @@ Example::
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from functools import partial
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -143,7 +147,7 @@ class Event:
             # caller observes uniform asynchronous semantics.
             if self._state == _FAILED:
                 self._failure_consumed = True
-            self.engine._schedule(0, lambda: callback(self))
+            self.engine._schedule(0, partial(callback, self))
 
     def _remove_callback(self, callback: Callable[["Event"], None]) -> None:
         try:
@@ -169,7 +173,7 @@ class Process(Event):
     the simulation if nobody is waiting).
     """
 
-    __slots__ = ("name", "_gen", "_waiting_on", "_resume_cb")
+    __slots__ = ("name", "_gen", "_waiting_on", "_resume_cb", "_resume")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "?"):
         super().__init__(engine)
@@ -178,9 +182,12 @@ class Process(Event):
         self.name = name
         self._gen = gen
         self._waiting_on: Optional[Event] = None
+        # Bound methods made once, not per wait.  Each refers back to
+        # the process, so _release() drops them when the generator ends.
         self._resume_cb = self._on_event
+        self._resume = self._step
         # Kick off on the next engine step.
-        engine._schedule(0, lambda: self._step(None, None))
+        engine._schedule(0, self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "running", _SUCCEEDED: "done", _FAILED: "failed"}
@@ -198,19 +205,19 @@ class Process(Event):
         if self._waiting_on is not None:
             self._waiting_on._remove_callback(self._resume_cb)
             self._waiting_on = None
-        self.engine._schedule(0, lambda: self._step(None, Interrupt(cause)))
+        self.engine._schedule(0, partial(self._step, None, Interrupt(cause)))
 
     # ------------------------------------------------------------------
     # Generator driving
     # ------------------------------------------------------------------
     def _on_event(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, None)
+        if event._state == _SUCCEEDED:
+            self._step(event._value)
         else:
-            self._step(None, event.value)
+            self._step(None, event._value)
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
         if self._state != _PENDING:
             return  # interrupted after completion; nothing to do
         engine = self.engine
@@ -229,7 +236,10 @@ class Process(Event):
             return
         finally:
             engine._active = prev
-        self._dispatch(command)
+        if type(command) is int and command >= 0:
+            engine._schedule(command, self._resume)
+        else:
+            self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
         # Invalid commands are thrown back *into* the generator (rather
@@ -243,7 +253,7 @@ class Process(Event):
             if delay < 0:
                 self._throw_in(SimError(f"negative delay: {command}"))
                 return
-            self.engine._schedule(delay, lambda: self._step(None, None))
+            self.engine._schedule(delay, self._resume)
         elif hasattr(command, "send") and hasattr(command, "throw"):
             # A generator was yielded directly — almost always a
             # sub-coroutine called without ``yield from``, which would
@@ -264,17 +274,24 @@ class Process(Event):
             )
 
     def _throw_in(self, error: BaseException) -> None:
-        self.engine._schedule(0, lambda: self._step(None, error))
+        self.engine._schedule(0, partial(self._step, None, error))
 
     def _finish_ok(self, value: Any) -> None:
         self._state = _SUCCEEDED
         self._value = value
-        self.engine._queue_triggered(self)
+        self._release()
 
     def _finish_fail(self, error: BaseException) -> None:
         self._state = _FAILED
         self._value = error
         self.engine._register_failure(self, error)
+        self._release()
+
+    def _release(self) -> None:
+        # Break the process <-> bound-method cycles so a finished
+        # process, and its result, is freed by reference counting rather
+        # than waiting for the cyclic collector.
+        self._gen = self._resume_cb = self._resume = None
         self.engine._queue_triggered(self)
 
 
@@ -284,10 +301,13 @@ class Engine:
     def __init__(self) -> None:
         self._now = 0
         self._heap: List = []
+        self._ready: deque = deque()  # zero-delay callbacks, due at _now
         self._seq = count()
         self._active: Optional[Process] = None
         self._unhandled: List[tuple] = []
         self._nprocs = 0
+        #: Callbacks run by :meth:`run` over the engine's lifetime.
+        self.events_processed = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -319,7 +339,7 @@ class Engine:
         if delay < 0:
             raise SimError(f"negative delay: {delay}")
         ev = Event(self)
-        self._schedule(int(delay), lambda: ev.succeed(value))
+        self._schedule(int(delay), partial(ev.succeed, value))
         return ev
 
     def all_of(self, events: Iterable[Event]) -> Event:
@@ -379,10 +399,24 @@ class Engine:
     # Scheduling internals
     # ------------------------------------------------------------------
     def _schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
+        # Every callback is scheduled here (tools may wrap this method on
+        # an instance to count events).  A zero-delay callback is due now
+        # and after every heap entry already due now: those entries were
+        # all scheduled before the clock reached now, so they hold lower
+        # sequence numbers.  A FIFO queue keeps that order without a heap
+        # push and pop.
+        if delay:
+            heapq.heappush(
+                self._heap, (self._now + delay, next(self._seq), callback)
+            )
+        else:
+            self._ready.append(callback)
 
     def _queue_triggered(self, event: Event) -> None:
-        self._schedule(0, event._deliver)
+        # Nothing can add a callback to a triggered event (_add_callback
+        # schedules it directly), so with none there is nothing to deliver.
+        if event._callbacks:
+            self._schedule(0, event._deliver)
 
     def _register_failure(self, proc: Process, error: BaseException) -> None:
         # If nobody waits on the process by the time the failure is
@@ -403,22 +437,48 @@ class Engine:
         Returns the final simulation time.  Re-raises the first process
         failure that no other process consumed.
         """
+        heap = self._heap
+        ready = self._ready
+        heappop = heapq.heappop
         processed = 0
-        while self._heap:
-            when, _seq, callback = self._heap[0]
-            if until is not None and when > until:
-                self._now = until
-                break
-            heapq.heappop(self._heap)
-            self._now = when
-            callback()
-            processed += 1
-            if max_events is not None and processed > max_events:
-                raise SimulationLimitExceeded(
-                    f"exceeded {max_events} events at t={self._now}ns"
-                )
+        try:
+            while True:
+                if ready and not (heap and heap[0][0] == self._now):
+                    if until is not None and self._now > until:
+                        self._rewind(until)
+                        break
+                    callback = ready.popleft()
+                elif heap:
+                    when = heap[0][0]
+                    if until is not None and when > until:
+                        self._rewind(until)
+                        break
+                    self._now = when
+                    callback = heappop(heap)[2]
+                else:
+                    break
+                callback()
+                processed += 1
+                if max_events is not None and processed > max_events:
+                    raise SimulationLimitExceeded(
+                        f"exceeded {max_events} events at t={self._now}ns"
+                    )
+        finally:
+            self.events_processed += processed
         self._check_failures()
         return self._now
+
+    def _rewind(self, until: int) -> None:
+        """Stop the clock at ``until``, which may lie in the past.
+
+        Queued zero-delay callbacks stay due at the old time: they move
+        to the heap in FIFO order, behind the entries already there.
+        """
+        while self._ready:
+            heapq.heappush(
+                self._heap, (self._now, next(self._seq), self._ready.popleft())
+            )
+        self._now = until
 
     def run_process(
         self,

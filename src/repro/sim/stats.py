@@ -79,7 +79,8 @@ def cdf_points(
 ) -> List[Tuple[float, float]]:
     """Empirical CDF as ``(value, cumulative_percent)`` pairs.
 
-    Used for the Figure 1(b)-style latency CDF plots.
+    Used for the Figure 1(b)-style latency CDF plots.  The last point is
+    always ``(max, 100.0)``, also when the samples end in ties.
     """
     if not samples:
         return []
@@ -89,8 +90,11 @@ def cdf_points(
     step = max(1, n // npoints)
     for i in range(0, n, step):
         points.append((float(ordered[i]), 100.0 * (i + 1) / n))
-    if points[-1][0] != ordered[-1]:
-        points.append((float(ordered[-1]), 100.0))
+    last = (float(ordered[-1]), 100.0)
+    if points[-1][0] == last[0]:
+        points[-1] = last
+    else:
+        points.append(last)
     return points
 
 

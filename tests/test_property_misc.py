@@ -1,7 +1,7 @@
 """Property-based tests for the DES engine, statistics, TCP ordering,
 the buffer cache, and the load balancers."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fs import BlockDevice, BufferCache
 from repro.hw import build_machine
@@ -92,6 +92,7 @@ def test_percentile_bounds_and_monotonicity(samples):
         st.integers(min_value=0, max_value=10_000), min_size=1, max_size=150
     )
 )
+@example(samples=[0] * 24)  # ends in ties: must still reach 100%
 def test_cdf_points_monotone_and_complete(samples):
     points = cdf_points(samples, npoints=12)
     values = [v for v, _p in points]

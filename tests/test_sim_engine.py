@@ -310,3 +310,26 @@ def test_nested_generator_delegation():
 
     assert eng.run_process(outer(eng)) == "inner-done"
     assert eng.now == 30
+
+
+def test_events_processed_counts_callbacks_run():
+    eng = Engine()
+
+    def sleeper(eng):
+        for _ in range(3):
+            yield 10
+
+    eng.spawn(sleeper(eng))
+    eng.run()
+    # One start plus three wake-ups; nobody waits on the finished
+    # process, so its completion costs no delivery callback.
+    assert eng.events_processed == 4
+
+    def forever(eng):
+        while True:
+            yield 1
+
+    eng.spawn(forever(eng))
+    with pytest.raises(SimulationLimitExceeded):
+        eng.run(max_events=10)
+    assert eng.events_processed == 4 + 11
