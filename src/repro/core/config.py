@@ -64,7 +64,7 @@ class SolrosConfig:
     prefetch_min_accesses: int = 4
     prefetch_min_planes: int = 2
     # End-to-end observability (repro.obs).  Off by default: every hot
-    # path then sees the shared NullTracer and no metrics registry.
+    # path then sees the shared NullTracer and NULL_METRICS.
     # ``python -m repro.bench --trace-out`` enables it globally via the
     # capture hook instead of this flag.
     trace: bool = False

@@ -46,13 +46,10 @@ class ControlPlaneOS:
         # Control-plane request scheduler (repro.sched); built during
         # format_storage() when config.sched_policy is set.
         self.scheduler = None
-        # Fault injector (repro.faults); built during format_storage()
-        # when config.fault_plan is set.
-        self.faults = None
+        # The machine's hooks (repro.obs): tracer, metrics and fault
+        # injector, handed to every component built here.
+        self.obs = machine.obs
         self._next_worker_core = 0
-        # Observability hub (set by SolrosSystem before bring-up; may
-        # stay None for directly-constructed control planes).
-        self.obs = None
 
     # ------------------------------------------------------------------
     # Storage bring-up
@@ -61,15 +58,6 @@ class ControlPlaneOS:
         """Create the block device and format the host file system."""
         core = core or self.host.core(0)
         cfg = self.config
-        if cfg.fault_plan is not None:
-            from ..faults import FaultInjector
-
-            # Disarmed until the file system exists: a chaos plan
-            # stresses the running system, it must never corrupt mkfs.
-            self.faults = FaultInjector(self.engine, cfg.fault_plan)
-            self.faults.armed = False
-            self.machine.nvme.faults = self.faults
-            self.machine.nic.faults = self.faults
         self.disk = BlockDevice(
             self.machine.nvme, cfg.disk_blocks, name="nvme0n1"
         )
@@ -77,7 +65,7 @@ class ControlPlaneOS:
             core, self.disk, self.host.node, max_inodes=cfg.max_inodes
         )
         if cfg.buffer_cache_bytes:
-            self.cache = BufferCache(cfg.buffer_cache_bytes)
+            self.cache = BufferCache(cfg.buffer_cache_bytes, obs=self.obs)
         self.policy = DataPathPolicy(
             self.machine.fabric, disk_node=self.machine.nvme.node
         )
@@ -90,8 +78,8 @@ class ControlPlaneOS:
             policy=self.policy,
             breaker_threshold=cfg.fault_breaker_threshold,
             breaker_reset_ns=cfg.fault_breaker_reset_ns,
+            obs=self.obs,
         )
-        self.fs_proxy.faults = self.faults
         if cfg.enable_prefetch:
             if self.cache is None:
                 raise SimError("prefetching requires buffer_cache_bytes")
@@ -124,16 +112,13 @@ class ControlPlaneOS:
                 rt_reserve=cfg.sched_rt_reserve,
                 core_alloc=self.alloc_worker_cores,
                 record_decisions=cfg.sched_record_decisions,
+                obs=self.obs,
             )
-        if self.obs is not None and self.obs.enabled:
-            self.fs_proxy.set_obs(self.obs.tracer, self.obs.metrics)
-            self.machine.nvme.set_obs(self.obs.tracer, self.obs.metrics)
-            if self.scheduler is not None:
-                self.scheduler.set_obs(self.obs.tracer, self.obs.metrics)
-            if self.faults is not None:
-                self.faults.set_obs(self.obs.tracer, self.obs.metrics)
-        if self.faults is not None:
-            self.faults.armed = True
+        # Bring-up is over: device commands are measured from here on,
+        # and a fault plan (disarmed through mkfs) goes live.
+        self.obs.in_service = True
+        if cfg.fault_plan is not None:
+            self.obs.faults.armed = True
         return self.fs
 
     def host_vfs(self) -> Vfs:
@@ -154,8 +139,6 @@ class ControlPlaneOS:
         """
         if self.fs_proxy is None:
             raise SimError("format_storage() first")
-        if self.faults is not None:
-            channel.set_faults(self.faults)
         if self.scheduler is not None:
             first = self.alloc_worker_cores(1)
             self.fs_proxy.serve(

@@ -60,10 +60,8 @@ class DataPlaneOS:
             policy=cfg.ring_policy,
             ring_bytes=cfg.rpc_ring_bytes,
             name=f"fs-rpc.phi{self.phi_index}",
+            obs=self.control.obs,
         )
-        obs = self.control.obs
-        if obs is not None and obs.enabled:
-            self.fs_channel.set_obs(obs.tracer, obs.metrics)
         # Bounded-wait recovery (repro.faults): None keeps the legacy
         # wait-forever call path.
         self.fs_channel.default_timeout_ns = cfg.rpc_timeout_ns

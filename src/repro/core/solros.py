@@ -42,19 +42,21 @@ class SolrosSystem:
     ):
         self.engine = engine
         self.config = config or SolrosConfig()
-        self.machine: Machine = build_machine(engine, self.config.hw)
-        # Observability: a process-global capture (the bench CLI's
-        # --trace-out) or config.trace turns it on; otherwise the hub
-        # is disabled and components keep their NullTracer defaults.
+        # The hooks every component receives at construction: a
+        # process-global capture (the bench CLI's --trace-out) or
+        # config.trace turns tracing and metrics on, and a fault plan
+        # adds the injector; otherwise the hub carries null objects.
+        plan = self.config.fault_plan
         capture = active_capture()
         if capture is not None:
-            self.obs = capture.new_hub(engine, label="solros")
+            self.obs = capture.new_hub(engine, label="solros", fault_plan=plan)
         else:
             self.obs = ObservabilityHub(
-                engine, enabled=self.config.trace, label="solros"
+                engine, enabled=self.config.trace, label="solros",
+                fault_plan=plan,
             )
+        self.machine: Machine = build_machine(engine, self.config.hw, self.obs)
         self.control = ControlPlaneOS(self.machine, self.config)
-        self.control.obs = self.obs
         self._dataplanes: Dict[int, DataPlaneOS] = {}
         self._booted = False
 
@@ -104,14 +106,13 @@ class SolrosSystem:
     def faults(self):
         """The fault injector, or None when no FaultPlan is registered
         (``config.fault_plan=None`` keeps the legacy path)."""
-        return self.control.faults
+        return None if self.config.fault_plan is None else self.obs.faults
 
     def faults_state(self) -> Optional[dict]:
         """Snapshot of injected-fault counters + circuit breakers."""
-        injector = self.control.faults
-        if injector is None:
+        if self.config.fault_plan is None:
             return None
-        state = injector.state()
+        state = self.obs.faults.state()
         if self.control.fs_proxy is not None:
             state["breakers"] = self.control.fs_proxy.breaker_snapshots()
         return state

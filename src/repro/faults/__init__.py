@@ -11,7 +11,7 @@ path to the buffered one.  See docs/FAULTS.md.
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .inject import COUNTER_NAMES, FaultInjector, maybe_injector
+from .inject import COUNTER_NAMES, NULL_FAULTS, FaultInjector, NullFaultInjector
 from .plan import (
     FaultPlan,
     InjectedFault,
@@ -31,7 +31,8 @@ __all__ = [
     "InjectedFault",
     "NvmeInjectedError",
     "FaultInjector",
-    "maybe_injector",
+    "NullFaultInjector",
+    "NULL_FAULTS",
     "COUNTER_NAMES",
     "CircuitBreaker",
     "CLOSED",

@@ -35,9 +35,9 @@ class CircuitBreaker:
         self,
         engine: Engine,
         name: str,
+        obs,
         failure_threshold: int = 3,
         reset_ns: int = 2_000_000,
-        injector=None,
     ):
         if failure_threshold < 1 or reset_ns < 1:
             raise ValueError("bad circuit breaker parameters")
@@ -45,22 +45,18 @@ class CircuitBreaker:
         self.name = name
         self.failure_threshold = failure_threshold
         self.reset_ns = reset_ns
-        self.injector = injector
+        # ``obs`` is the owner's hook bundle (repro.obs.ObservabilityHub).
+        self.injector = obs.faults
         self.state = CLOSED
         self.failures = 0        # consecutive failures while closed
         self.trips = 0
         self._opened_at = 0
-        self._g_state = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        if metrics is not None:
-            self._g_state = metrics.gauge(f"faults.breaker.{self.name}.state")
-            self._g_state.set(_STATE_CODE[self.state])
+        self._g_state = obs.metrics.gauge(f"faults.breaker.{name}.state")
+        self._g_state.set(_STATE_CODE[self.state])
 
     def _set_state(self, state: str) -> None:
         self.state = state
-        if self._g_state is not None:
-            self._g_state.set(_STATE_CODE[state])
+        self._g_state.set(_STATE_CODE[state])
 
     # ------------------------------------------------------------------
     # Protocol
@@ -89,8 +85,7 @@ class CircuitBreaker:
         self.failures = 0
         self._opened_at = self.engine.now
         self._set_state(OPEN)
-        if self.injector is not None:
-            self.injector.breaker_trip()
+        self.injector.breaker_trip()
 
     def snapshot(self) -> dict:
         return {

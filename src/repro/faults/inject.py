@@ -6,22 +6,25 @@ draws from its own :class:`random.Random` stream keyed by
 ``faults/<seed>/<site>``, so decisions are independent across sites
 and byte-reproducible across runs of the same plan.
 
-The injector keeps local counters unconditionally (cheap ints, used
-by tests and the chaos bench) and mirrors them into a ``repro.obs``
-metrics registry when one is attached — the ``faults.*`` rows in
-docs/OBSERVABILITY.md's catalog.
+The injector keeps local counters (cheap ints, used by tests and the
+chaos bench) and mirrors them into the ``repro.obs`` metrics registry
+it is built with — the ``faults.*`` rows in docs/OBSERVABILITY.md's
+catalog.  A system with no plan gets :data:`NULL_FAULTS` instead: the
+same questions, always answered "no fault", and nothing counted.
+
+This module imports nothing from ``repro.obs``: the observability hub
+builds the injector, so the dependency runs the other way.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from ..sim.engine import Engine
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "NullFaultInjector", "NULL_FAULTS"]
 
 # Every series the injector can emit, in catalog order.
 COUNTER_NAMES = (
@@ -42,9 +45,13 @@ COUNTER_NAMES = (
 
 
 class FaultInjector:
-    """Runtime oracle for a :class:`~repro.faults.plan.FaultPlan`."""
+    """Runtime oracle for a :class:`~repro.faults.plan.FaultPlan`.
 
-    def __init__(self, engine: Engine, plan: FaultPlan):
+    ``metrics`` is the registry its ``faults.*`` counters live in
+    (``repro.obs.NULL_METRICS`` for none).
+    """
+
+    def __init__(self, engine: Engine, plan: FaultPlan, metrics):
         self.engine = engine
         self.plan = plan
         # Disarmed sites inject nothing and draw nothing: the control
@@ -57,21 +64,7 @@ class FaultInjector:
         self._req_counts: Dict[str, int] = {}
         self._down_until: Dict[str, int] = {}
         self.counts: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self._counters = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Mirror the local counters into a metrics registry."""
-        self.tracer = tracer
-        if metrics is not None:
-            self._counters = {
-                name: metrics.counter(name) for name in COUNTER_NAMES
-            }
-            # Replay anything counted before obs attached.
-            for name, n in self.counts.items():
-                if n:
-                    self._counters[name].inc(n)
+        self._counters = {name: metrics.counter(name) for name in COUNTER_NAMES}
 
     # ------------------------------------------------------------------
     # Internals
@@ -90,8 +83,7 @@ class FaultInjector:
 
     def _bump(self, name: str, n: int = 1) -> None:
         self.counts[name] += n
-        if self._counters is not None:
-            self._counters[name].inc(n)
+        self._counters[name].inc(n)
 
     # ------------------------------------------------------------------
     # NVMe (hw/nvme.py)
@@ -218,8 +210,36 @@ class FaultInjector:
         }
 
 
-def maybe_injector(
-    engine: Engine, plan: Optional[FaultPlan]
-) -> Optional[FaultInjector]:
-    """Build an injector when a plan is registered, else None."""
-    return None if plan is None else FaultInjector(engine, plan)
+class NullFaultInjector:
+    """The injector of a system with no :class:`FaultPlan`: every
+    decision is "no fault", nothing is counted, and no ``faults.*``
+    series exist.  ``plan`` is None, which is what the places whose
+    behaviour a plan changes (the stub's dedup sequence, the proxy's
+    breaker gate) test."""
+
+    __slots__ = ()
+
+    plan = None
+
+    def nvme_command(self, op: str, is_p2p: bool) -> Tuple[int, bool]:
+        return 0, False
+
+    def ring_stall(self, ring_name: str) -> int:
+        return 0
+
+    def pcie_degrade(self, ring_name: str) -> int:
+        return 0
+
+    def proxy_request(self, channel_name: str) -> bool:
+        return False
+
+    def nic_drop(self, direction: str) -> int:
+        return 0
+
+    def rpc_timeout(self) -> None:
+        pass
+
+    rpc_retry = dedup_hit = breaker_trip = fallback_buffered = rpc_timeout
+
+
+NULL_FAULTS = NullFaultInjector()

@@ -3,11 +3,12 @@
 A :class:`FaultPlan` is a frozen, seed-carrying description of *which*
 failures the simulation should experience and *how often*.  It is pure
 data — registering one on :class:`~repro.core.config.SolrosConfig`
-builds a :class:`~repro.faults.inject.FaultInjector` at bring-up, and
-every injection site in the stack consults that injector through an
-``if self.faults is not None`` gate.  With no plan registered the
-gates are dormant and the legacy path is bit-identical (asserted by
-the perf-gate's ``faults.off`` guard metric).
+builds a :class:`~repro.faults.inject.FaultInjector` into the system's
+observability hub, and every injection site in the stack asks that
+injector.  With no plan registered the hub carries ``NULL_FAULTS``,
+whose answers are always "no fault", and the legacy path is
+bit-identical (asserted by the perf-gate's ``faults.off`` guard
+metric).
 
 Rates are probabilities per decision point (per NVMe command, per
 ring operation, per RPC request, per NIC transfer), each drawn from

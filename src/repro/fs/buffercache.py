@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Tuple
 
+from ..obs.hub import NULL_HUB
 from .blockdev import BlockDevice, Extent
 
 __all__ = ["BufferCache", "BufferCacheStats"]
@@ -41,26 +42,21 @@ class BufferCacheStats:
 class BufferCache:
     """LRU block cache keyed by (device, block number)."""
 
-    def __init__(self, capacity_bytes: int, block_size: int = 4096):
+    def __init__(
+        self, capacity_bytes: int, block_size: int = 4096, obs=NULL_HUB
+    ):
         if capacity_bytes < block_size:
             raise ValueError("cache smaller than one block")
         self.capacity_blocks = capacity_bytes // block_size
         self.block_size = block_size
         self._lru: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self.stats = BufferCacheStats()
-        # Observability (off by default).
-        self._c_hits = None
-        self._c_misses = None
-        self._g_hit_rate = None
-        self._g_resident = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a metrics registry (the cache emits no spans)."""
-        if metrics is not None:
-            self._c_hits = metrics.counter("cache.hits")
-            self._c_misses = metrics.counter("cache.misses")
-            self._g_hit_rate = metrics.gauge("cache.hit_rate")
-            self._g_resident = metrics.gauge("cache.resident_blocks")
+        # Metrics only: the cache emits no spans.
+        metrics = obs.metrics
+        self._c_hits = metrics.counter("cache.hits")
+        self._c_misses = metrics.counter("cache.misses")
+        self._g_hit_rate = metrics.gauge("cache.hit_rate")
+        self._g_resident = metrics.gauge("cache.resident_blocks")
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -84,6 +80,8 @@ class BufferCache:
         """
         cached: List[Extent] = []
         missing: List[Extent] = []
+        stats = self.stats
+        hits, misses = stats.hits, stats.misses
         for first, count in extents:
             run_start, run_hit = first, None
             for blockno in range(first, first + count + 1):
@@ -98,8 +96,10 @@ class BufferCache:
                         bucket = cached if run_hit else missing
                         bucket.append((run_start, blockno - run_start))
                     run_start, run_hit = blockno, hit
-        if self._g_hit_rate is not None:
-            self._g_hit_rate.set(self.stats.hit_rate)
+        # One metric update per lookup, not per block.
+        self._c_hits.inc(stats.hits - hits)
+        self._c_misses.inc(stats.misses - misses)
+        self._g_hit_rate.set(stats.hit_rate)
         return cached, missing
 
     def _probe(self, device: BlockDevice, blockno: int) -> bool:
@@ -107,12 +107,8 @@ class BufferCache:
         if key in self._lru:
             self._lru.move_to_end(key)
             self.stats.hits += 1
-            if self._c_hits is not None:
-                self._c_hits.inc()
             return True
         self.stats.misses += 1
-        if self._c_misses is not None:
-            self._c_misses.inc()
         return False
 
     # ------------------------------------------------------------------
@@ -131,8 +127,7 @@ class BufferCache:
                 if len(self._lru) > self.capacity_blocks:
                     self._lru.popitem(last=False)
                     self.stats.evictions += 1
-        if self._g_resident is not None:
-            self._g_resident.set(len(self._lru))
+        self._g_resident.set(len(self._lru))
 
     def invalidate(self, device: BlockDevice, extents: List[Extent]) -> None:
         """Drop blocks (e.g. after a P2P write bypassed the cache)."""

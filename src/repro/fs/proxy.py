@@ -26,7 +26,7 @@ from ..faults.breaker import CircuitBreaker
 from ..faults.plan import InjectedFault
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine
 from ..transport.rpc import RpcChannel
 from .buffercache import BufferCache
@@ -70,10 +70,6 @@ class ProxyStats:
         self.buffered_writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        # Simulated-time breakdown for Figure 13(a).
-        self.time_fs = 0
-        self.time_storage = 0
-        self.time_transport = 0
 
     def reset(self) -> None:
         self.__init__()
@@ -101,6 +97,7 @@ class SolrosFsProxy:
         policy: Optional[DataPathPolicy] = None,
         breaker_threshold: int = 3,
         breaker_reset_ns: int = 2_000_000,
+        obs=NULL_HUB,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -115,31 +112,18 @@ class SolrosFsProxy:
         # Optional cross-co-processor prefetcher (§4): set by the
         # control plane when enabled.
         self.prefetcher = None
-        # Fault injection + recovery (repro.faults).  With an injector
-        # wired, P2P submissions are guarded by a per-device circuit
+        # Fault injection + recovery (repro.faults).  With a fault
+        # plan, P2P submissions are guarded by a per-device circuit
         # breaker and degrade to the buffered path on injected faults;
         # without one, neither gate is ever consulted.
-        self.faults = None
+        self.obs = obs
+        self.faults = obs.faults
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_ns = breaker_reset_ns
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._c_p2p = None
-        self._c_buffered = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._c_p2p = metrics.counter("proxy.path.p2p")
-            self._c_buffered = metrics.counter("proxy.path.buffered")
-        if self.cache is not None:
-            self.cache.set_obs(tracer, metrics)
-        for breaker in self._breakers.values():
-            breaker.set_obs(tracer, metrics)
+        self.tracer = obs.tracer
+        self._c_p2p = obs.metrics.counter("proxy.path.p2p")
+        self._c_buffered = obs.metrics.counter("proxy.path.buffered")
 
     # ------------------------------------------------------------------
     # Circuit breaker (repro.faults)
@@ -151,11 +135,10 @@ class SolrosFsProxy:
             b = CircuitBreaker(
                 self.engine,
                 device_node,
+                self.obs,
                 failure_threshold=self.breaker_threshold,
                 reset_ns=self.breaker_reset_ns,
-                injector=self.faults,
             )
-            b.set_obs(self.tracer, self.metrics)
             self._breakers[device_node] = b
         return b
 
@@ -165,8 +148,8 @@ class SolrosFsProxy:
         ]
 
     def _p2p_allowed(self, device) -> bool:
-        """Consult the device breaker; only active with faults wired."""
-        if self.faults is None:
+        """Consult the device breaker; only active with a fault plan."""
+        if self.faults.plan is None:
             return True
         if self.breaker(device.nvme.node).allow():
             return True
@@ -178,7 +161,7 @@ class SolrosFsProxy:
         self.faults.fallback_buffered()
 
     def _p2p_succeeded(self, device) -> None:
-        if self.faults is not None:
+        if self.faults.plan is not None:
             self.breaker(device.nvme.node).record_success()
 
     # ------------------------------------------------------------------
@@ -297,11 +280,8 @@ class SolrosFsProxy:
             return b""
         if self.prefetcher is not None:
             self.prefetcher.record_access(inode, msg.target_node)
-        # Spans open/close at the same engine.now instants as the
-        # legacy timer regions, so the span-derived breakdown and
-        # ProxyStats agree by construction.
+        # The fs and device spans are Figure 13(a)'s split.
         traced = self.tracer.enabled and ctx is not None
-        t0 = self.engine.now
         fs_span = (
             self.tracer.begin("fs.fiemap", "fs", parent=ctx, core=core)
             if traced
@@ -313,7 +293,6 @@ class SolrosFsProxy:
         )
         if fs_span is not None:
             self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
-        self.stats.time_fs += self.engine.now - t0
 
         device = self.fs.device
         if decision.mode == P2P and self._p2p_allowed(device):
@@ -349,9 +328,7 @@ class SolrosFsProxy:
         # Zero copy: the NVMe DMA engine lands data directly in
         # co-processor memory; one doorbell, one interrupt.
         self.stats.p2p_reads += 1
-        if self._c_p2p is not None:
-            self._c_p2p.inc()
-        t1 = self.engine.now
+        self._c_p2p.inc()
         dev_span = (
             self.tracer.begin(
                 "nvme.read", "device", parent=ctx, core=core,
@@ -368,11 +345,9 @@ class SolrosFsProxy:
         except InjectedFault:
             if dev_span is not None:
                 self.tracer.end(dev_span, error=True)
-            self.stats.time_storage += self.engine.now - t1
             raise
         if dev_span is not None:
             self.tracer.end(dev_span)
-        self.stats.time_storage += self.engine.now - t1
         self._p2p_succeeded(device)
 
     def _read_buffered(
@@ -382,12 +357,10 @@ class SolrosFsProxy:
         # Buffered: stage misses in host RAM through the shared
         # cache, then push everything with a host DMA engine.
         self.stats.buffered_reads += 1
-        if self._c_buffered is not None:
-            self._c_buffered.inc()
+        self._c_buffered.inc()
         pages = (count + 4095) // 4096
         yield from core.compute(FS_PAGE_UNITS * pages, "branchy")
         if missing:
-            t1 = self.engine.now
             dev_span = (
                 self.tracer.begin(
                     "nvme.read", "device", parent=ctx, core=core,
@@ -402,10 +375,8 @@ class SolrosFsProxy:
             )
             if dev_span is not None:
                 self.tracer.end(dev_span)
-            self.stats.time_storage += self.engine.now - t1
             if self.cache is not None:
                 self.cache.insert(device, missing)
-        t2 = self.engine.now
         dma_span = (
             self.tracer.begin(
                 "dma.push", "transport", parent=ctx, core=core,
@@ -419,7 +390,6 @@ class SolrosFsProxy:
         )
         if dma_span is not None:
             self.tracer.end(dma_span)
-        self.stats.time_transport += self.engine.now - t2
 
     # ------------------------------------------------------------------
     # Write
@@ -434,7 +404,6 @@ class SolrosFsProxy:
             yield 0
             return 0
         traced = self.tracer.enabled and ctx is not None
-        t0 = self.engine.now
         fs_span = (
             self.tracer.begin("fs.allocate+fiemap", "fs", parent=ctx, core=core)
             if traced
@@ -447,7 +416,6 @@ class SolrosFsProxy:
         )
         if fs_span is not None:
             self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
-        self.stats.time_fs += self.engine.now - t0
 
         device = self.fs.device
         if msg.data is not None:
@@ -482,9 +450,7 @@ class SolrosFsProxy:
         self, core: Core, msg: Twrite, extents, ctx, traced, device
     ) -> Generator:
         self.stats.p2p_writes += 1
-        if self._c_p2p is not None:
-            self._c_p2p.inc()
-        t1 = self.engine.now
+        self._c_p2p.inc()
         dev_span = (
             self.tracer.begin(
                 "nvme.write", "device", parent=ctx, core=core,
@@ -501,11 +467,9 @@ class SolrosFsProxy:
         except InjectedFault:
             if dev_span is not None:
                 self.tracer.end(dev_span, error=True)
-            self.stats.time_storage += self.engine.now - t1
             raise
         if dev_span is not None:
             self.tracer.end(dev_span)
-        self.stats.time_storage += self.engine.now - t1
         if self.cache is not None:
             # The DMA bypassed host RAM: stale cache copies must go.
             self.cache.invalidate(device, extents)
@@ -515,9 +479,7 @@ class SolrosFsProxy:
         self, core: Core, msg: Twrite, extents, ctx, traced, device
     ) -> Generator:
         self.stats.buffered_writes += 1
-        if self._c_buffered is not None:
-            self._c_buffered.inc()
-        t2 = self.engine.now
+        self._c_buffered.inc()
         dma_span = (
             self.tracer.begin(
                 "dma.pull", "transport", parent=ctx, core=core,
@@ -531,10 +493,8 @@ class SolrosFsProxy:
         )
         if dma_span is not None:
             self.tracer.end(dma_span)
-        self.stats.time_transport += self.engine.now - t2
         pages = (msg.count + 4095) // 4096
         yield from core.compute(FS_PAGE_UNITS * pages, "branchy")
-        t1 = self.engine.now
         dev_span = (
             self.tracer.begin(
                 "nvme.write", "device", parent=ctx, core=core,
@@ -549,7 +509,6 @@ class SolrosFsProxy:
         )
         if dev_span is not None:
             self.tracer.end(dev_span)
-        self.stats.time_storage += self.engine.now - t1
         if self.cache is not None:
             self.cache.insert(device, extents)
 

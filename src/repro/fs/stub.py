@@ -120,7 +120,7 @@ class SolrosFsBackend(FsBackend):
         dedup = None
         if (
             self.channel.default_timeout_ns is not None
-            or self.channel.faults is not None
+            or self.channel.faults.plan is not None
         ):
             dedup = self.channel.next_dedup()
         attempt = 0
@@ -144,8 +144,7 @@ class SolrosFsBackend(FsBackend):
                 if deadline is not None and engine.now >= deadline:
                     raise
                 self.retries += 1
-                if self.channel.faults is not None:
-                    self.channel.faults.rpc_retry()
+                self.channel.faults.rpc_retry()
                 yield self.retry.delay(
                     attempt - 1, self._rng,
                     getattr(cause, "retry_after_ns", None),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine, SimError
 from .cpu import CPU, Core
 from .nic import NicDevice
@@ -21,10 +22,18 @@ __all__ = ["Machine", "build_machine"]
 
 
 class Machine:
-    """The simulated heterogeneous machine."""
+    """The simulated heterogeneous machine.
 
-    def __init__(self, engine: Engine, params: Optional[HwParams] = None):
+    ``obs`` is the system's hook bundle (tracer, metrics, fault
+    injector); the devices and everything built on this machine take
+    their hooks from it.
+    """
+
+    def __init__(
+        self, engine: Engine, params: Optional[HwParams] = None, obs=NULL_HUB
+    ):
         self.engine = engine
+        self.obs = obs
         self.params = params or default_params()
         p = self.params
         self.fabric = Fabric(engine, p.pcie)
@@ -50,10 +59,11 @@ class Machine:
         # Storage and network devices on NUMA 0.
         self.fabric.attach("nvme0", 0, "nvme")
         self.nvme = NvmeDevice(
-            engine, self.fabric, "nvme0", p.nvme, irq_cpu=self.host_sockets[0]
+            engine, self.fabric, "nvme0", p.nvme,
+            irq_cpu=self.host_sockets[0], obs=obs,
         )
         self.fabric.attach("nic0", 0, "nic")
-        self.nic = NicDevice(engine, self.fabric, "nic0", p.nic)
+        self.nic = NicDevice(engine, self.fabric, "nic0", p.nic, obs=obs)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -94,7 +104,7 @@ class Machine:
 
 
 def build_machine(
-    engine: Engine, params: Optional[HwParams] = None
+    engine: Engine, params: Optional[HwParams] = None, obs=NULL_HUB
 ) -> Machine:
     """Construct the paper's testbed (or a variant via ``params``)."""
-    return Machine(engine, params)
+    return Machine(engine, params, obs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Generator, Optional
 
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine, SimError
 from ..sim.resources import BandwidthLink
 from .params import NicParams
@@ -29,6 +30,7 @@ class NicDevice:
         fabric: Fabric,
         node: str,
         params: Optional[NicParams] = None,
+        obs=NULL_HUB,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -43,8 +45,8 @@ class NicDevice:
         )
         self.packets_sent = 0
         self.packets_received = 0
-        # Fault injection (repro.faults); None keeps the hooks dormant.
-        self.faults = None
+        # Fault injection (repro.faults): NULL_FAULTS without a plan.
+        self.faults = obs.faults
 
     def packet_count(self, nbytes: int) -> int:
         """MTU-sized packets needed for a payload of ``nbytes``."""
@@ -58,12 +60,11 @@ class NicDevice:
     def transmit(self, nbytes: int) -> Generator:
         """Push ``nbytes`` out on the wire (NIC → client)."""
         npkts = self.packet_count(nbytes)
-        if self.faults is not None:
-            # Injected packet loss: the transfer pays one retransmit
-            # round before the (re)send goes through.
-            penalty = self.faults.nic_drop("tx")
-            if penalty:
-                yield penalty
+        # Injected packet loss: the transfer pays one retransmit round
+        # before the (re)send goes through.
+        penalty = self.faults.nic_drop("tx")
+        if penalty:
+            yield penalty
         yield npkts * self.params.per_packet_ns
         yield from self.wire_tx.transfer(max(nbytes, 1))
         self.packets_sent += npkts
@@ -71,10 +72,9 @@ class NicDevice:
     def receive(self, nbytes: int) -> Generator:
         """Accept ``nbytes`` arriving on the wire (client → NIC)."""
         npkts = self.packet_count(nbytes)
-        if self.faults is not None:
-            penalty = self.faults.nic_drop("rx")
-            if penalty:
-                yield penalty
+        penalty = self.faults.nic_drop("rx")
+        if penalty:
+            yield penalty
         yield from self.wire_rx.transfer(max(nbytes, 1))
         yield npkts * self.params.per_packet_ns
         self.packets_received += npkts

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine, SimError
 from ..sim.resources import BandwidthLink, Resource
 from .cpu import CPU, Core
@@ -79,6 +79,7 @@ class NvmeDevice:
         node: str,
         params: Optional[NvmeParams] = None,
         irq_cpu: Optional[CPU] = None,
+        obs=NULL_HUB,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -97,17 +98,12 @@ class NvmeDevice:
         )
         self._slots = Resource(engine, capacity=p.parallelism, name=f"{node}.slots")
         self.stats = NvmeStats()
-        # Fault injection (repro.faults); None keeps the hooks dormant.
-        self.faults = None
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self._h_cmd_bytes = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        if metrics is not None:
-            self._h_cmd_bytes = metrics.histogram(f"nvme.{self.node}.cmd_bytes")
+        # Hooks (repro.obs / repro.faults): null objects unless the
+        # system traces or registers a fault plan.
+        self.obs = obs
+        self.faults = obs.faults
+        self.tracer = obs.tracer
+        self._h_cmd_bytes = obs.metrics.histogram(f"nvme.{node}.cmd_bytes")
 
     # ------------------------------------------------------------------
     # Command preparation
@@ -162,16 +158,14 @@ class NvmeDevice:
         # commands still pay their full timing; the error surfaces
         # after the batch completes, like a real completion-queue
         # entry with a bad status field.
-        spikes = None
+        spikes = []
         failed: Optional[NvmeOp] = None
-        if self.faults is not None:
-            spikes = []
-            for cmd in cmds:
-                is_p2p = self.fabric.node(cmd.target).kind == "phi"
-                extra, fails = self.faults.nvme_command(cmd.op, is_p2p)
-                spikes.append(extra)
-                if fails and failed is None:
-                    failed = cmd
+        for cmd in cmds:
+            is_p2p = self.fabric.node(cmd.target).kind == "phi"
+            extra, fails = self.faults.nvme_command(cmd.op, is_p2p)
+            spikes.append(extra)
+            if fails and failed is None:
+                failed = cmd
 
         if coalesce_interrupts:
             yield from self.fabric.remote_tx(initiator, 1)  # one doorbell
@@ -179,8 +173,7 @@ class NvmeDevice:
             workers = [
                 self.engine.spawn(
                     self._execute(
-                        cmd, ctx=ctx,
-                        extra_ns=spikes[i] if spikes else 0,
+                        cmd, ctx=ctx, extra_ns=spikes[i],
                     ),
                     name=f"nvme-{cmd.op}",
                 )
@@ -197,7 +190,7 @@ class NvmeDevice:
                     self.engine.spawn(
                         self._execute(
                             cmd, interrupt=True, ctx=ctx,
-                            extra_ns=spikes[i] if spikes else 0,
+                            extra_ns=spikes[i],
                         ),
                         name=f"nvme-{cmd.op}",
                     )
@@ -230,7 +223,8 @@ class NvmeDevice:
                 f"nvme.cmd.{cmd.op}", "device", parent=ctx,
                 nbytes=cmd.nbytes, target=cmd.target,
             )
-        if self._h_cmd_bytes is not None:
+        if self.obs.in_service:
+            # Bring-up (mkfs) commands are not measured.
             self._h_cmd_bytes.record(cmd.nbytes)
         yield self._slots.request()
         try:

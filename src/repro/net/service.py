@@ -25,7 +25,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..core.dataplane import DataPlaneOS
 from ..hw.cpu import CPU, Core
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine, Interrupt, SimError
 from ..sim.primitives import Store
 from ..transport.ringbuf import RingBuffer, RingPolicy
@@ -102,39 +102,32 @@ class NetChannel:
         host_cpu: CPU,
         policy: Optional[RingPolicy] = None,
         name: str = "net",
+        obs=NULL_HUB,
     ):
         self.engine = engine
         self.phi_cpu = phi_cpu
         self.host_cpu = host_cpu
         self.rpc = RpcChannel(
             engine, fabric, client_cpu=phi_cpu, server_cpu=host_cpu,
-            policy=policy, name=f"{name}.rpc",
+            policy=policy, name=f"{name}.rpc", obs=obs,
         )
         # Outbound: co-processor sends; master at the co-processor.
         self.outbound = RingBuffer(
             engine, fabric, OUTBOUND_RING_BYTES,
             master_cpu=phi_cpu, sender_cpu=phi_cpu, receiver_cpu=host_cpu,
-            policy=policy, name=f"{name}.out",
+            policy=policy, name=f"{name}.out", obs=obs,
         )
         # Inbound: host sends events; master at the host.
         self.inbound = RingBuffer(
             engine, fabric, INBOUND_RING_BYTES,
             master_cpu=host_cpu, sender_cpu=host_cpu, receiver_cpu=phi_cpu,
-            policy=policy, name=f"{name}.in",
+            policy=policy, name=f"{name}.in", obs=obs,
         )
         # Data-plane routing state (owned by the event dispatcher).
         self.sock_stores: Dict[int, Store] = {}
         self.listener_stores: Dict[int, Store] = {}
         self.dispatcher = None
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry to the RPC + both rings."""
-        self.tracer = tracer
-        self.rpc.set_obs(tracer, metrics)
-        self.outbound.set_obs(tracer, metrics)
-        self.inbound.set_obs(tracer, metrics)
+        self.tracer = obs.tracer
 
     def route_store(self, sock_id: int) -> Store:
         store = self.sock_stores.get(sock_id)
@@ -157,6 +150,7 @@ class SolrosNetProxy:
         ring_policy: Optional[RingPolicy] = None,
         workers_per_channel: int = 2,
         scheduler=None,
+        obs=NULL_HUB,
     ):
         self.engine = engine
         self.network = network
@@ -178,22 +172,13 @@ class SolrosNetProxy:
         self._procs: list = []
         self._running = True
         self._worker_core_base = 8
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._m_out = None
-        self._m_in = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry; applied to every channel
-        already attached and to channels attached later."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_out = metrics.meter("net.outbound")
-            self._m_in = metrics.meter("net.inbound")
-        for channel in self.channels.values():
-            channel.set_obs(tracer, metrics)
+        # Hooks (repro.obs / repro.faults), shared with every channel:
+        # proxy crash/restart and ring faults cover the network service
+        # too.
+        self.obs = obs
+        self.tracer = obs.tracer
+        self._m_out = obs.metrics.meter("net.outbound")
+        self._m_in = obs.metrics.meter("net.inbound")
 
     # ------------------------------------------------------------------
     # Attachment
@@ -209,10 +194,6 @@ class SolrosNetProxy:
         phi_index = dataplane.phi_index
         if phi_index in self.channels:
             raise SimError(f"phi{phi_index} already attached to net service")
-        # Inherit the system's observability hub on first attachment.
-        obs = getattr(dataplane.control, "obs", None)
-        if obs is not None and obs.enabled and not self.tracer.enabled:
-            self.set_obs(obs.tracer, obs.metrics)
         channel = NetChannel(
             self.engine,
             self.fabric,
@@ -220,21 +201,12 @@ class SolrosNetProxy:
             self.host_cpu,
             policy=self.ring_policy,
             name=f"net.phi{phi_index}",
+            obs=self.obs,
         )
         self.channels[phi_index] = channel
         self.loads[phi_index] = 0
-        if self.tracer.enabled or self.metrics is not None:
-            channel.set_obs(self.tracer, self.metrics)
-        # Fault injection (repro.faults): the net channel inherits the
-        # control plane's injector so proxy crash/restart and ring
-        # faults cover the network service too.  The net stub has no
-        # retry loop, so a timeout surfaces at the socket API as
-        # RemoteCallError(ETIMEDOUT).
-        injector = getattr(dataplane.control, "faults", None)
-        if injector is not None:
-            channel.rpc.set_faults(injector)
-            channel.outbound.faults = injector
-            channel.inbound.faults = injector
+        # The net stub has no retry loop, so a timeout surfaces at the
+        # socket API as RemoteCallError(ETIMEDOUT).
         channel.rpc.default_timeout_ns = dataplane.config.rpc_timeout_ns
 
         # Control RPC servicing.
@@ -436,8 +408,7 @@ class SolrosNetProxy:
                     self.tracer.end(span)
                 self.stats.messages_out += 1
                 self.stats.bytes_out += nbytes
-                if self._m_out is not None:
-                    self._m_out.add(nbytes)
+                self._m_out.add(nbytes)
             elif op == "close":
                 yield from psock.conn.close(core)
                 self._teardown(psock)
@@ -461,8 +432,7 @@ class SolrosNetProxy:
             )
             self.stats.messages_in += 1
             self.stats.bytes_in += nbytes
-            if self._m_in is not None:
-                self._m_in.add(nbytes)
+            self._m_in.add(nbytes)
 
     def _teardown(self, psock: _ProxySock) -> None:
         if psock.sock_id in self.socks:

@@ -99,5 +99,6 @@ class NetTestbed:
                 ring_policy=ring_policy,
                 workers_per_channel=workers_per_channel,
                 scheduler=scheduler,
+                obs=self.machine.obs,
             )
         return self._proxy

@@ -1,6 +1,8 @@
 """``repro.obs`` — end-to-end observability for the Solros stack.
 
-Three pieces:
+Three pieces, bundled per simulated machine by
+:class:`~repro.obs.hub.ObservabilityHub` (which also carries the
+fault injector):
 
 * :mod:`~repro.obs.tracer` — request-scoped spans on the simulated
   clock, propagated across the RPC/ring transport as trace contexts.
@@ -13,7 +15,6 @@ Three pieces:
 See ``docs/OBSERVABILITY.md`` for the span model and metric catalog.
 """
 
-from .adapter import accounting_view
 from .export import (
     chrome_trace,
     metrics_json,
@@ -21,6 +22,7 @@ from .export import (
     write_metrics_json,
 )
 from .hub import (
+    NULL_HUB,
     Capture,
     ObservabilityHub,
     active_capture,
@@ -32,6 +34,8 @@ from .metrics import (
     Gauge,
     HistogramMetric,
     MetricsRegistry,
+    NULL_METRICS,
+    NullMetrics,
     RateMeter,
 )
 from .tracer import NULL_TRACER, NullTracer, Span, SpanContext, Tracer
@@ -47,7 +51,10 @@ __all__ = [
     "HistogramMetric",
     "RateMeter",
     "MetricsRegistry",
+    "NullMetrics",
+    "NULL_METRICS",
     "ObservabilityHub",
+    "NULL_HUB",
     "Capture",
     "enable_capture",
     "disable_capture",
@@ -56,5 +63,4 @@ __all__ = [
     "write_chrome_trace",
     "metrics_json",
     "write_metrics_json",
-    "accounting_view",
 ]

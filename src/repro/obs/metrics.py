@@ -17,8 +17,10 @@ Four metric types, all timestamped with ``engine.now``:
   one place.
 
 All metrics are created lazily by name through
-:class:`MetricsRegistry`; instrumented components cache the metric
-object once (at wiring time) so the hot path pays one method call.
+:class:`MetricsRegistry`; instrumented components create theirs once,
+at construction, so the hot path pays one method call.  A system with
+observability off hands its components :data:`NULL_METRICS` instead,
+whose instruments accept every call and record nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "HistogramMetric",
     "RateMeter",
     "MetricsRegistry",
+    "NullMetrics",
+    "NULL_METRICS",
 ]
 
 
@@ -211,3 +215,38 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._metrics.clear()
+
+
+class _NullInstrument:
+    """Stands in for every metric type when observability is off.
+    Fixed signatures (no ``*args``) keep the disabled call cheap."""
+
+    __slots__ = ()
+
+    def inc(self, n: int = 1) -> None:
+        pass
+
+    def set(self, value: float) -> None:
+        pass
+
+    def add(self, amount: float = 0, nops: int = 1) -> None:
+        pass
+
+    def record(self, value: float) -> None:
+        pass
+
+
+_NULL_INSTRUMENT = _NullInstrument()
+
+
+class NullMetrics:
+    """The registry of a disabled hub: hands out one shared do-nothing
+    instrument for every name and registers nothing."""
+
+    def counter(self, name: str) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+    gauge = histogram = meter = counter
+
+
+NULL_METRICS = NullMetrics()

@@ -206,8 +206,8 @@ class Tracer:
         core: Optional[Any] = None,
         **attrs: Any,
     ) -> Generator:
-        """Run sub-generator ``gen`` inside a span (Accounting.timed's
-        shape): ``result = yield from tracer.timed(...)``."""
+        """Run sub-generator ``gen`` inside a span:
+        ``result = yield from tracer.timed(...)``."""
         span = self.begin(name, category, parent=parent, core=core, **attrs)
         try:
             result = yield from gen

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine, SimError
 from .policy import DEFAULT_DRR_QUANTUM, make_policy
 from .qos import SchedDeadlineExceeded, SchedRejected, clamp_class
@@ -151,6 +152,7 @@ class RequestScheduler:
         core_alloc: Optional[Callable[[int], int]] = None,
         record_decisions: bool = False,
         name: str = "sched",
+        obs=NULL_HUB,
     ):
         if class_capacity < 1 or source_credits < 1:
             raise SimError("admission bounds must be >= 1")
@@ -170,6 +172,22 @@ class RequestScheduler:
         self._running = True
         self._draining = False
         self._idle_waiters: List = []
+        # Metrics only: the RPC serve spans already cover scheduled
+        # execution.  Created before the pool starts, which samples
+        # sched.workers once its permanent workers are staffed.
+        self.metrics = metrics = obs.metrics
+        self._c_submitted = metrics.counter("sched.submitted")
+        self._c_admitted = metrics.counter("sched.admitted")
+        self._c_rejected = metrics.counter("sched.rejected")
+        self._c_shed = metrics.counter("sched.shed")
+        self._g_depth = metrics.gauge("sched.queue.depth")
+        self._g_class_depth = {
+            cls: metrics.gauge(f"sched.queue.depth.c{cls}") for cls in (0, 1, 2)
+        }
+        self._g_workers = metrics.gauge("sched.workers")
+        self._h_wait = metrics.histogram("sched.wait_ns")
+        self._h_service = metrics.histogram("sched.service_ns")
+        self._src_bytes: Dict[str, Any] = {}
         # Worker staffing.
         self._core_alloc = core_alloc
         self._next_fallback_core = 0
@@ -182,43 +200,11 @@ class RequestScheduler:
             idle_shrink_ns=idle_shrink_ns,
             rt_reserve=rt_reserve if self.policy.class_aware else 0,
         )
-        # Observability (off by default).
-        self.metrics = None
-        self._c_submitted = None
-        self._c_admitted = None
-        self._c_rejected = None
-        self._c_shed = None
-        self._g_depth = None
-        self._g_class_depth: Dict[int, Any] = {}
-        self._g_workers = None
-        self._h_wait = None
-        self._h_service = None
-        self._src_bytes: Dict[str, Any] = {}
         self.pool.start()
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a metrics registry (repro.obs); tracer unused — the
-        RPC serve spans already cover scheduled execution."""
-        self.metrics = metrics
-        if metrics is None:
-            return
-        self._c_submitted = metrics.counter("sched.submitted")
-        self._c_admitted = metrics.counter("sched.admitted")
-        self._c_rejected = metrics.counter("sched.rejected")
-        self._c_shed = metrics.counter("sched.shed")
-        self._g_depth = metrics.gauge("sched.queue.depth")
-        self._g_class_depth = {
-            cls: metrics.gauge(f"sched.queue.depth.c{cls}")
-            for cls in (0, 1, 2)
-        }
-        self._g_workers = metrics.gauge("sched.workers")
-        self._g_workers.set(self.pool.active)
-        self._h_wait = metrics.histogram("sched.wait_ns")
-        self._h_service = metrics.histogram("sched.service_ns")
-
     def register_source(self, source: str, channel) -> None:
         """Remember the channel serving ``source`` (introspection)."""
         self._channels[source] = channel
@@ -248,8 +234,7 @@ class RequestScheduler:
         """Admit ``msg`` or return a rejection verdict (never raises)."""
         now = self.engine.now
         self.stats.submitted += 1
-        if self._c_submitted is not None:
-            self._c_submitted.inc()
+        self._c_submitted.inc()
         cls = clamp_class(getattr(msg, "priority", 1))
         payload = getattr(msg, "payload", None)
         # 9P data ops carry their I/O size as ``payload.count``; other
@@ -262,8 +247,7 @@ class RequestScheduler:
         verdict = self._admit(source, cls, now)
         if verdict is not None:
             self.stats.rejected += 1
-            if self._c_rejected is not None:
-                self._c_rejected.inc()
+            self._c_rejected.inc()
             self._log("reject", now, source, cls, verdict.reason)
             return verdict
         seq = self.stats.admitted
@@ -339,8 +323,7 @@ class RequestScheduler:
         try:
             if req.shed:
                 self.stats.shed += 1
-                if self._c_shed is not None:
-                    self._c_shed.inc()
+                self._c_shed.inc()
                 if not req.msg.oneway:
                     yield from req.channel.reply_error(
                         core,
@@ -353,25 +336,22 @@ class RequestScheduler:
             self.stats.wait_ns.append(wait)
             src = self.stats.source(req.source)
             src.wait_ns.append(wait)
-            if self._h_wait is not None:
-                self._h_wait.record(wait)
+            self._h_wait.record(wait)
             yield from req.channel.serve_one(
                 core, req.msg, req.handler, req.response_size
             )
             service = self.engine.now - now
             self.stats.service_ns.append(service)
-            if self._h_service is not None:
-                self._h_service.record(service)
+            self._h_service.record(service)
             self.stats.completed += 1
             src.requests += 1
             src.bytes += req.cost
-            if self.metrics is not None:
-                counter = self._src_bytes.get(req.source)
-                if counter is None:
-                    counter = self._src_bytes[req.source] = (
-                        self.metrics.counter(f"sched.src.{req.source}.bytes")
-                    )
-                counter.inc(req.cost)
+            counter = self._src_bytes.get(req.source)
+            if counter is None:
+                counter = self._src_bytes[req.source] = (
+                    self.metrics.counter(f"sched.src.{req.source}.bytes")
+                )
+            counter.inc(req.cost)
         finally:
             self._inflight -= 1
             self._outstanding[req.source] -= 1
@@ -442,11 +422,8 @@ class RequestScheduler:
     # Bookkeeping helpers
     # ------------------------------------------------------------------
     def _gauge_depth(self, cls: int) -> None:
-        if self._g_depth is not None:
-            self._g_depth.set(len(self.policy))
-            gauge = self._g_class_depth.get(cls)
-            if gauge is not None:
-                gauge.set(self.policy.class_depth(cls))
+        self._g_depth.set(len(self.policy))
+        self._g_class_depth[cls].set(self.policy.class_depth(cls))
 
     def _log(self, kind: str, now: int, source: str, cls: int, info) -> None:
         if self.record_decisions:

@@ -75,6 +75,7 @@ class ElasticWorkerPool:
             self._spawn(max_class=None, permanent=True)
         for _ in range(self.rt_reserve):
             self._spawn(max_class=CLASS_RT, permanent=True)
+        self._gauge()
 
     def maybe_grow(self, depth: int) -> None:
         """Called on every admit: add an elastic worker when backlog
@@ -86,6 +87,7 @@ class ElasticWorkerPool:
         ):
             self.grown += 1
             proc = self._spawn(max_class=None, permanent=False)
+            self._gauge()
             self.sched._log(
                 "grow", self.engine.now, "pool", -1, proc.name
             )
@@ -106,7 +108,6 @@ class ElasticWorkerPool:
             self._worker(core, max_class, permanent), name=name
         )
         self._procs.append(proc)
-        self._gauge()
         return proc
 
     # ------------------------------------------------------------------
@@ -182,6 +183,4 @@ class ElasticWorkerPool:
         self._procs.clear()
 
     def _gauge(self) -> None:
-        gauge = getattr(self.sched, "_g_workers", None)
-        if gauge is not None:
-            gauge.set(self.active)
+        self.sched._g_workers.set(self.active)

@@ -6,14 +6,12 @@ Submodules:
 * :mod:`repro.sim.primitives` — locks, semaphores, stores, gates.
 * :mod:`repro.sim.resources` — capacity pools and bandwidth links.
 * :mod:`repro.sim.stats` — percentiles, CDFs, throughput meters.
-* :mod:`repro.sim.trace` — component time accounting.
 """
 
 from .engine import Engine, Event, Interrupt, Process, SimError
 from .primitives import Gate, Lock, Semaphore, Store, WouldBlock
 from .resources import BandwidthLink, Resource
 from .stats import Histogram, ThroughputMeter, cdf_points, percentile, summarize
-from .trace import Accounting, NullAccounting
 
 __all__ = [
     "Engine",
@@ -33,6 +31,4 @@ __all__ = [
     "cdf_points",
     "Histogram",
     "ThroughputMeter",
-    "Accounting",
-    "NullAccounting",
 ]

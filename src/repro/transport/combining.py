@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from ..hw.cpu import CPU, Core
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import NULL_HUB
 
 __all__ = ["CombiningQueue", "CombiningStats"]
 
@@ -75,6 +75,7 @@ class CombiningQueue:
         combine_max: int = 16,
         name: str = "cq",
         on_batch_end: Optional[Callable[[Core], Generator]] = None,
+        obs=NULL_HUB,
     ):
         if combine_max < 1:
             raise ValueError("combine_max must be >= 1")
@@ -89,15 +90,8 @@ class CombiningQueue:
         self._tail = cpu.new_cell(None, name=f"{name}.tail")
         self._seq = 0
         self.stats = CombiningStats()
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self._h_batch = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        if metrics is not None:
-            self._h_batch = metrics.histogram(f"combining.{self.name}.batch")
+        self.tracer = obs.tracer
+        self._h_batch = obs.metrics.histogram(f"combining.{name}.batch")
 
     def execute(
         self, core: Core, op: Callable[[Core], Generator], ctx=None
@@ -154,8 +148,7 @@ class CombiningQueue:
                 if closed:
                     if current is not first:
                         yield from current.status.store(core, _DONE)
-                    if self._h_batch is not None:
-                        self._h_batch.record(processed)
+                    self._h_batch.record(processed)
                     yield from self._finish_batch(core)
                     return
                 # A joiner is mid-link; wait for the pointer.
@@ -169,8 +162,7 @@ class CombiningQueue:
             if processed >= self.combine_max:
                 # Hand the combiner role to the successor.
                 self.stats.handoffs += 1
-                if self._h_batch is not None:
-                    self._h_batch.record(processed)
+                self._h_batch.record(processed)
                 yield from self._finish_batch(core)
                 yield from successor.status.store(core, _COMBINER)
                 return

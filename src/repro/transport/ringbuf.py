@@ -40,7 +40,7 @@ from typing import Any, Deque, Generator, Optional
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
 from ..lint.sanitize import SANITIZER
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine, SimError
 from .combining import CombiningQueue
 from .locks import MCSLock
@@ -132,7 +132,9 @@ class Slot:
 class _Side:
     """Per-role serialization: combining queue or MCS lock."""
 
-    def __init__(self, cpu: CPU, policy: RingPolicy, name: str, on_batch_end):
+    def __init__(
+        self, cpu: CPU, policy: RingPolicy, name: str, on_batch_end, obs
+    ):
         self.cpu = cpu
         self.combining = policy.combining
         if policy.combining:
@@ -141,6 +143,7 @@ class _Side:
                 combine_max=policy.combine_max,
                 name=name,
                 on_batch_end=on_batch_end,
+                obs=obs,
             )
         else:
             self.lock = MCSLock(cpu, name=name)
@@ -178,6 +181,7 @@ class RingBuffer:
         receiver_cpu: CPU,
         policy: Optional[RingPolicy] = None,
         name: str = "rb",
+        obs=NULL_HUB,
     ):
         if master_cpu is not sender_cpu and master_cpu is not receiver_cpu:
             raise SimError("master ring must live at the sender or receiver")
@@ -192,14 +196,13 @@ class RingBuffer:
         self.policy = policy or RingPolicy()
         self.name = name
         self.stats = RingStats()
-        # Fault injection (repro.faults); None keeps the hooks dormant.
-        self.faults = None
-        # Observability (off by default: NullTracer + no metrics).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._g_occupancy = None
-        self._c_dma = None
-        self._c_memcpy = None
+        # Hooks (repro.obs / repro.faults): null objects by default.
+        self.faults = obs.faults
+        self.tracer = obs.tracer
+        metrics = obs.metrics
+        self._g_occupancy = metrics.gauge(f"ring.{name}.occupancy_bytes")
+        self._c_dma = metrics.counter(f"ring.{name}.copy.dma")
+        self._c_memcpy = metrics.counter(f"ring.{name}.copy.memcpy")
 
         # Functional truth (mutated only inside side-serialized ops).
         self._seq = 0
@@ -225,30 +228,14 @@ class RingBuffer:
         self._head_cell = receiver_cpu.new_cell(0, name=f"{name}.head")
 
         self._enq_side = _Side(
-            sender_cpu, self.policy, f"{name}.enq", self._push_tail
+            sender_cpu, self.policy, f"{name}.enq", self._push_tail, obs
         )
         self._deq_side = _Side(
-            receiver_cpu, self.policy, f"{name}.deq", self._push_head
+            receiver_cpu, self.policy, f"{name}.deq", self._push_head, obs
         )
 
-    # ------------------------------------------------------------------
-    # Observability wiring
-    # ------------------------------------------------------------------
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._g_occupancy = metrics.gauge(f"ring.{self.name}.occupancy_bytes")
-            self._c_dma = metrics.counter(f"ring.{self.name}.copy.dma")
-            self._c_memcpy = metrics.counter(f"ring.{self.name}.copy.memcpy")
-            for side in (self._enq_side, self._deq_side):
-                if side.combining:
-                    side.queue.set_obs(tracer, metrics)
-
     def _set_occupancy(self) -> None:
-        if self._g_occupancy is not None:
-            self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
+        self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
 
     # ------------------------------------------------------------------
     # Locality helpers
@@ -267,12 +254,11 @@ class RingBuffer:
             yield core.params.l1_ns
             return
         self.stats.pcie_tx += 1
-        if self.faults is not None:
-            # Injected link degradation (retraining/replay) taxes the
-            # non-posted read with extra nanoseconds.
-            extra = self.faults.pcie_degrade(self.name)
-            if extra:
-                yield extra
+        # Injected link degradation (retraining/replay) taxes the
+        # non-posted read with extra nanoseconds.
+        extra = self.faults.pcie_degrade(self.name)
+        if extra:
+            yield extra
         yield from self.fabric.remote_tx(core, 1)
 
     def _remote_ctrl_post(self, core: Core) -> Generator:
@@ -330,12 +316,11 @@ class RingBuffer:
                 ring=self.name, size=size,
             )
         yield from core.compute(RB_OP_WORK_UNITS, "branchy")
-        if self.faults is not None:
-            # Transient slot stall: the producer loses the slot for a
-            # while (SMI / preemption) before the reservation runs.
-            stall = self.faults.ring_stall(self.name)
-            if stall:
-                yield stall
+        # Transient slot stall: the producer loses the slot for a
+        # while (SMI / preemption) before the reservation runs.
+        stall = self.faults.ring_stall(self.name)
+        if stall:
+            yield stall
         result = yield from self._enq_side.execute(
             core, lambda c: self._enqueue_op(c, size), ctx=ctx
         )
@@ -424,11 +409,10 @@ class RingBuffer:
     def try_dequeue(self, core: Core) -> Generator:
         """Claim the oldest ready slot; None when empty."""
         yield from core.compute(RB_OP_WORK_UNITS, "branchy")
-        if self.faults is not None:
-            # Consumer-side counterpart of the enqueue stall.
-            stall = self.faults.ring_stall(self.name)
-            if stall:
-                yield stall
+        # Consumer-side counterpart of the enqueue stall.
+        stall = self.faults.ring_stall(self.name)
+        if stall:
+            yield stall
         result = yield from self._deq_side.execute(core, self._dequeue_op)
         if result is _WOULD_BLOCK:
             self.stats.would_blocks += 1
@@ -580,13 +564,11 @@ class RingBuffer:
             )
         if mode == "memcpy":
             self.stats.memcpy_copies += 1
-            if self._c_memcpy is not None:
-                self._c_memcpy.inc()
+            self._c_memcpy.inc()
             yield from self.fabric.loadstore_copy(core, size)
         elif mode == "dma":
             self.stats.dma_copies += 1
-            if self._c_dma is not None:
-                self._c_dma.inc()
+            self._c_dma.inc()
             if into_ring:
                 src, dst = side_cpu.node, self.master_cpu.node
             else:

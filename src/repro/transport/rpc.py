@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Sequence
 
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import NULL_HUB
 from ..sim.engine import Engine, Event, Interrupt, SimError
 from .ringbuf import RingBuffer, RingPolicy
 
@@ -179,6 +179,7 @@ class RpcChannel:
         policy: Optional[RingPolicy] = None,
         ring_bytes: int = DEFAULT_RING_BYTES,
         name: str = "rpc",
+        obs=NULL_HUB,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -195,6 +196,7 @@ class RpcChannel:
             receiver_cpu=server_cpu,
             policy=policy,
             name=f"{name}.req",
+            obs=obs,
         )
         self.response_ring = RingBuffer(
             engine,
@@ -205,6 +207,7 @@ class RpcChannel:
             receiver_cpu=client_cpu,
             policy=policy,
             name=f"{name}.resp",
+            obs=obs,
         )
         self._next_id = 0
         self._pending: Dict[int, Event] = {}
@@ -212,33 +215,16 @@ class RpcChannel:
         self._servers: list = []
         self._running = True
         self.calls = 0
-        # Fault injection + recovery (repro.faults).  All None/off by
-        # default: the legacy path is bit-identical.
-        self.faults = None                  # FaultInjector or None
+        # Fault injection + recovery (repro.faults).  Without a plan
+        # the injector is NULL_FAULTS and no timeout is set: the legacy
+        # path is bit-identical.
+        self.faults = obs.faults
         self.default_timeout_ns: Optional[int] = None
         self._dedup_seq = 0
         self._dedup_done: "OrderedDict[int, tuple]" = OrderedDict()
-        # Observability (off by default: NullTracer + no metrics).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._g_inflight = None
-        self._m_calls = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry to the channel + both rings."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._g_inflight = metrics.gauge(f"rpc.{self.name}.inflight")
-            self._m_calls = metrics.meter(f"rpc.{self.name}.calls")
-        self.request_ring.set_obs(tracer, metrics)
-        self.response_ring.set_obs(tracer, metrics)
-
-    def set_faults(self, injector) -> None:
-        """Wire a fault injector into the channel and both rings."""
-        self.faults = injector
-        self.request_ring.faults = injector
-        self.response_ring.faults = injector
+        self.tracer = obs.tracer
+        self._g_inflight = obs.metrics.gauge(f"rpc.{name}.inflight")
+        self._m_calls = obs.metrics.meter(f"rpc.{name}.calls")
 
     def next_dedup(self) -> int:
         """A fresh idempotency sequence number for one logical call."""
@@ -299,8 +285,7 @@ class RpcChannel:
                 channel=self.name, size=size,
             )
             send_ctx = span.ctx()
-        if self._g_inflight is not None:
-            self._g_inflight.add(1)
+        self._g_inflight.add(1)
         msg = RpcMessage(
             req_id, method, payload, size, trace=send_ctx,
             priority=priority, deadline=deadline, dedup=dedup,
@@ -314,18 +299,14 @@ class RpcChannel:
             )
             if which != 0:
                 self._pending.pop(req_id, None)
-                if self._g_inflight is not None:
-                    self._g_inflight.add(-1)
+                self._g_inflight.add(-1)
                 if span is not None:
                     self.tracer.end(span, error=True, timeout=True)
-                if self.faults is not None:
-                    self.faults.rpc_timeout()
+                self.faults.rpc_timeout()
                 raise RemoteCallError(method, RpcTimeout(method, timeout_ns))
             response = value
-        if self._g_inflight is not None:
-            self._g_inflight.add(-1)
-        if self._m_calls is not None:
-            self._m_calls.add(size + response.size)
+        self._g_inflight.add(-1)
+        self._m_calls.add(size + response.size)
         if span is not None:
             self.tracer.end(span, error=response.is_error)
         if response.is_error:
@@ -425,7 +406,7 @@ class RpcChannel:
                 core=core, channel=self.name,
             )
             hctx = span.ctx()
-        if self.faults is not None and self.faults.proxy_request(self.name):
+        if self.faults.proxy_request(self.name):
             # Injected proxy crash: the request vanishes without a
             # reply.  The client recovers via timeout + re-issue.
             if span is not None:
@@ -446,8 +427,7 @@ class RpcChannel:
             # A duplicate of an already-completed request (the client
             # timed out and re-issued): answer from the result cache
             # without re-executing the handler.
-            if self.faults is not None:
-                self.faults.dedup_hit()
+            self.faults.dedup_hit()
             reply = RpcMessage(
                 msg.req_id, msg.method, cached[0], response_size,
                 trace=msg.trace,

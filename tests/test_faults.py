@@ -28,6 +28,7 @@ from repro.fs import O_RDWR
 from repro.fs.ninep import Topen
 from repro.fs.stub import SolrosFsBackend
 from repro.hw import KB, build_machine
+from repro.obs import NULL_METRICS
 from repro.sched import Qos, RetryPolicy
 from repro.sim import Engine
 from repro.transport import RemoteCallError, RpcChannel, RpcTimeout
@@ -226,6 +227,7 @@ def test_nic_drop_charges_retransmit():
                     seed=2,
                     nic=NicFaults(drop_rate=1.0, retransmit_ns=5_000),
                 ),
+                NULL_METRICS,
             )
             m.nic.faults = injector
 

@@ -1,8 +1,8 @@
-"""Unit tests for statistics helpers and time accounting."""
+"""Unit tests for statistics helpers."""
 
 import pytest
 
-from repro.sim import Accounting, Engine, Histogram, NullAccounting, ThroughputMeter
+from repro.sim import Histogram, ThroughputMeter
 from repro.sim.stats import cdf_points, mean, percentile, summarize
 
 
@@ -96,56 +96,3 @@ def test_throughput_meter_interval_and_reset():
     meter.reset()
     assert meter.bytes == 0 and meter.ops == 0
     assert meter.interval(100)["bytes"] == 0.0
-
-
-# ----------------------------------------------------------------------
-# trace
-# ----------------------------------------------------------------------
-def test_accounting_charge_and_fractions():
-    eng = Engine()
-    acct = Accounting(eng)
-    acct.charge("storage", 300)
-    acct.charge("transport", 100)
-    acct.charge("storage", 100)
-    assert acct.breakdown() == {"storage": 400, "transport": 100}
-    assert acct.total() == 500
-    assert acct.fractions()["storage"] == pytest.approx(0.8)
-    acct.reset()
-    assert acct.total() == 0
-    assert acct.fractions() == {}
-    with pytest.raises(ValueError):
-        acct.charge("x", -1)
-
-
-def test_accounting_timed_wraps_generators():
-    eng = Engine()
-    acct = Accounting(eng)
-
-    def inner(eng):
-        yield 250
-        return "value"
-
-    def main(eng):
-        result = yield from acct.timed("io", inner(eng))
-        return result
-
-    assert eng.run_process(main(eng)) == "value"
-    assert acct.breakdown() == {"io": 250}
-
-
-def test_null_accounting_is_transparent():
-    eng = Engine()
-    acct = NullAccounting()
-
-    def inner(eng):
-        yield 100
-        return 7
-
-    def main(eng):
-        result = yield from acct.timed("anything", inner(eng))
-        acct.charge("x", 5)
-        return result
-
-    assert eng.run_process(main(eng)) == 7
-    assert acct.breakdown() == {}
-    assert acct.total() == 0
