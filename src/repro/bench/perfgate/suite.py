@@ -391,5 +391,5 @@ def export_to_obs(doc: Dict, capture=None):
         registry.gauge(f"perfgate.{name}").set(value)
     errors = doc.get("errors", {})
     if errors:
-        registry.counter("perfgate.errors").inc(len(errors))
+        registry.counter("perfgate.errors", lambda: len(errors))
     return registry

@@ -6,11 +6,12 @@ draws from its own :class:`random.Random` stream keyed by
 ``faults/<seed>/<site>``, so decisions are independent across sites
 and byte-reproducible across runs of the same plan.
 
-The injector keeps local counters (cheap ints, used by tests and the
-chaos bench) and mirrors them into the ``repro.obs`` metrics registry
-it is built with — the ``faults.*`` rows in docs/OBSERVABILITY.md's
-catalog.  A system with no plan gets :data:`NULL_FAULTS` instead: the
-same questions, always answered "no fault", and nothing counted.
+The injector counts what it injects in ``counts`` (cheap ints, used by
+tests and the chaos bench); the ``faults.*`` counters it registers in
+the ``repro.obs`` metrics registry it is built with read those same
+ints — the ``faults.*`` rows in docs/OBSERVABILITY.md's catalog.  A
+system with no plan gets :data:`NULL_FAULTS` instead: the same
+questions, always answered "no fault", and nothing counted.
 
 This module imports nothing from ``repro.obs``: the observability hub
 builds the injector, so the dependency runs the other way.
@@ -19,6 +20,7 @@ builds the injector, so the dependency runs the other way.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, Tuple
 
 from ..sim.engine import Engine
@@ -64,7 +66,8 @@ class FaultInjector:
         self._req_counts: Dict[str, int] = {}
         self._down_until: Dict[str, int] = {}
         self.counts: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-        self._counters = {name: metrics.counter(name) for name in COUNTER_NAMES}
+        for name in COUNTER_NAMES:
+            metrics.counter(name, partial(self.counts.__getitem__, name))
 
     # ------------------------------------------------------------------
     # Internals
@@ -83,7 +86,6 @@ class FaultInjector:
 
     def _bump(self, name: str, n: int = 1) -> None:
         self.counts[name] += n
-        self._counters[name].inc(n)
 
     # ------------------------------------------------------------------
     # NVMe (hw/nvme.py)

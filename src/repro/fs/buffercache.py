@@ -35,9 +35,6 @@ class BufferCacheStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class BufferCache:
     """LRU block cache keyed by (device, block number)."""
@@ -53,8 +50,9 @@ class BufferCache:
         self.stats = BufferCacheStats()
         # Metrics only: the cache emits no spans.
         metrics = obs.metrics
-        self._c_hits = metrics.counter("cache.hits")
-        self._c_misses = metrics.counter("cache.misses")
+        stats = self.stats
+        metrics.counter("cache.hits", lambda: stats.hits)
+        metrics.counter("cache.misses", lambda: stats.misses)
         self._g_hit_rate = metrics.gauge("cache.hit_rate")
         self._g_resident = metrics.gauge("cache.resident_blocks")
 
@@ -80,8 +78,6 @@ class BufferCache:
         """
         cached: List[Extent] = []
         missing: List[Extent] = []
-        stats = self.stats
-        hits, misses = stats.hits, stats.misses
         for first, count in extents:
             run_start, run_hit = first, None
             for blockno in range(first, first + count + 1):
@@ -96,10 +92,7 @@ class BufferCache:
                         bucket = cached if run_hit else missing
                         bucket.append((run_start, blockno - run_start))
                     run_start, run_hit = blockno, hit
-        # One metric update per lookup, not per block.
-        self._c_hits.inc(stats.hits - hits)
-        self._c_misses.inc(stats.misses - misses)
-        self._g_hit_rate.set(stats.hit_rate)
+        self._g_hit_rate.set(self.stats.hit_rate)
         return cached, missing
 
     def _probe(self, device: BlockDevice, blockno: int) -> bool:

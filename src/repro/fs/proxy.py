@@ -71,9 +71,6 @@ class ProxyStats:
         self.bytes_read = 0
         self.bytes_written = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class _Session:
     """Per-co-processor state: fid table and target identity."""
@@ -122,8 +119,14 @@ class SolrosFsProxy:
         self.breaker_reset_ns = breaker_reset_ns
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.tracer = obs.tracer
-        self._c_p2p = obs.metrics.counter("proxy.path.p2p")
-        self._c_buffered = obs.metrics.counter("proxy.path.buffered")
+        stats = self.stats
+        obs.metrics.counter(
+            "proxy.path.p2p", lambda: stats.p2p_reads + stats.p2p_writes
+        )
+        obs.metrics.counter(
+            "proxy.path.buffered",
+            lambda: stats.buffered_reads + stats.buffered_writes,
+        )
 
     # ------------------------------------------------------------------
     # Circuit breaker (repro.faults)
@@ -328,7 +331,6 @@ class SolrosFsProxy:
         # Zero copy: the NVMe DMA engine lands data directly in
         # co-processor memory; one doorbell, one interrupt.
         self.stats.p2p_reads += 1
-        self._c_p2p.inc()
         dev_span = (
             self.tracer.begin(
                 "nvme.read", "device", parent=ctx, core=core,
@@ -357,7 +359,6 @@ class SolrosFsProxy:
         # Buffered: stage misses in host RAM through the shared
         # cache, then push everything with a host DMA engine.
         self.stats.buffered_reads += 1
-        self._c_buffered.inc()
         pages = (count + 4095) // 4096
         yield from core.compute(FS_PAGE_UNITS * pages, "branchy")
         if missing:
@@ -450,7 +451,6 @@ class SolrosFsProxy:
         self, core: Core, msg: Twrite, extents, ctx, traced, device
     ) -> Generator:
         self.stats.p2p_writes += 1
-        self._c_p2p.inc()
         dev_span = (
             self.tracer.begin(
                 "nvme.write", "device", parent=ctx, core=core,
@@ -479,7 +479,6 @@ class SolrosFsProxy:
         self, core: Core, msg: Twrite, extents, ctx, traced, device
     ) -> Generator:
         self.stats.buffered_writes += 1
-        self._c_buffered.inc()
         dma_span = (
             self.tracer.begin(
                 "dma.pull", "transport", parent=ctx, core=core,

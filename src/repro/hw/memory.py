@@ -41,12 +41,6 @@ class CoherenceStats:
         self.atomics = 0
         self.wakeups = 0
 
-    def reset(self) -> None:
-        self.local_hits = 0
-        self.line_transfers = 0
-        self.atomics = 0
-        self.wakeups = 0
-
 
 class MemCell:
     """One cache line holding one Python value.

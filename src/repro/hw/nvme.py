@@ -65,9 +65,6 @@ class NvmeStats:
         self.bytes_read = 0
         self.bytes_written = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class NvmeDevice:
     """The timing model of one NVMe SSD attached to the fabric."""

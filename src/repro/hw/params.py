@@ -156,7 +156,6 @@ class NvmeParams:
     cmd_overhead_ns: int = 8_000      # submission/completion processing
     mdts_bytes: int = 128 * KB        # max data transfer per NVMe command
     parallelism: int = 32             # internal channel/die parallelism
-    doorbell_tx_ns: int = 1_600       # one PCIe write from the host
     block_size: int = 4096
 
 

@@ -3,7 +3,6 @@
 from . import (  # noqa: F401  (import-for-side-effect registration)
     coroutines,
     determinism,
-    imports,
     obsconf,
     phases,
     protocol,
@@ -12,7 +11,6 @@ from . import (  # noqa: F401  (import-for-side-effect registration)
 __all__ = [
     "coroutines",
     "determinism",
-    "imports",
     "obsconf",
     "phases",
     "protocol",

@@ -64,9 +64,6 @@ class NetStats:
         self.bytes_out = 0
         self.bytes_in = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class _ProxySock:
     """Host-side state of one delegated socket."""
@@ -363,6 +360,7 @@ class SolrosNetProxy:
         )
         self.stats.messages_in += 1
         self.stats.bytes_in += nbytes
+        self._m_in.add(nbytes)
 
     def _assign(
         self,

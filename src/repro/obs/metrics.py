@@ -2,8 +2,10 @@
 
 Four metric types, all timestamped with ``engine.now``:
 
-* :class:`Counter` — monotonically increasing totals (RPC calls, cache
-  hits, DMA-vs-memcpy decisions).
+* :class:`Counter` — monotonically increasing totals (cache hits,
+  DMA-vs-memcpy decisions, injected faults).  A counter is *pulled*:
+  it holds a zero-argument callable that reads the owning component's
+  stats field at snapshot time, so each count has one source.
 * :class:`Gauge` — point-in-time values with a bounded time series
   (ring occupancy, RPC in-flight depth).  Samples are recorded on
   *change*, not by a polling process: a recurring sampler would keep
@@ -18,7 +20,8 @@ Four metric types, all timestamped with ``engine.now``:
 
 All metrics are created lazily by name through
 :class:`MetricsRegistry`; instrumented components create theirs once,
-at construction, so the hot path pays one method call.  A system with
+at construction, so the hot path pays one method call for a pushed
+metric and nothing for a counter.  A system with
 observability off hands its components :data:`NULL_METRICS` instead,
 whose instruments accept every call and record nothing.
 """
@@ -26,7 +29,7 @@ whose instruments accept every call and record nothing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..sim.stats import Histogram, ThroughputMeter
 
@@ -42,18 +45,22 @@ __all__ = [
 
 
 class Counter:
-    """A monotonically increasing total."""
+    """A monotonically increasing total, read from its owner on demand.
 
-    __slots__ = ("name", "value")
+    ``read`` returns the current total, typically a field of the
+    component's stats object; stats objects never reset, so the value
+    never decreases.
+    """
 
-    def __init__(self, name: str):
+    __slots__ = ("name", "read")
+
+    def __init__(self, name: str, read: Callable[[], int]):
         self.name = name
-        self.value = 0
+        self.read = read
 
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter decrement: {n}")
-        self.value += n
+    @property
+    def value(self) -> int:
+        return self.read()
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
@@ -178,8 +185,13 @@ class MetricsRegistry:
             )
         return metric
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, lambda: Counter(name))
+    def counter(self, name: str, read: Callable[[], int]) -> Counter:
+        """The counter ``name``; a new one reads its value from ``read``.
+
+        A counter has one owner: asking again for an existing name
+        returns it unchanged, still reading its first ``read``.
+        """
+        return self._get(name, Counter, lambda: Counter(name, read))
 
     def gauge(self, name: str) -> Gauge:
         return self._get(
@@ -223,9 +235,6 @@ class _NullInstrument:
 
     __slots__ = ()
 
-    def inc(self, n: int = 1) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -243,10 +252,13 @@ class NullMetrics:
     """The registry of a disabled hub: hands out one shared do-nothing
     instrument for every name and registers nothing."""
 
-    def counter(self, name: str) -> _NullInstrument:
+    def counter(self, name: str, read: Callable[[], int]) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    gauge = histogram = meter = counter
+    def gauge(self, name: str) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+    histogram = meter = gauge
 
 
 NULL_METRICS = NullMetrics()

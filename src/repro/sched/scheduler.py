@@ -127,9 +127,6 @@ class SchedStats:
             for name, stats in sorted(self.per_source.items())
         }
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class RequestScheduler:
     """Priority/deadline-aware dispatch between RPC rings and workers."""
@@ -176,10 +173,11 @@ class RequestScheduler:
         # execution.  Created before the pool starts, which samples
         # sched.workers once its permanent workers are staffed.
         self.metrics = metrics = obs.metrics
-        self._c_submitted = metrics.counter("sched.submitted")
-        self._c_admitted = metrics.counter("sched.admitted")
-        self._c_rejected = metrics.counter("sched.rejected")
-        self._c_shed = metrics.counter("sched.shed")
+        stats = self.stats
+        metrics.counter("sched.submitted", lambda: stats.submitted)
+        metrics.counter("sched.admitted", lambda: stats.admitted)
+        metrics.counter("sched.rejected", lambda: stats.rejected)
+        metrics.counter("sched.shed", lambda: stats.shed)
         self._g_depth = metrics.gauge("sched.queue.depth")
         self._g_class_depth = {
             cls: metrics.gauge(f"sched.queue.depth.c{cls}") for cls in (0, 1, 2)
@@ -187,7 +185,6 @@ class RequestScheduler:
         self._g_workers = metrics.gauge("sched.workers")
         self._h_wait = metrics.histogram("sched.wait_ns")
         self._h_service = metrics.histogram("sched.service_ns")
-        self._src_bytes: Dict[str, Any] = {}
         # Worker staffing.
         self._core_alloc = core_alloc
         self._next_fallback_core = 0
@@ -234,7 +231,6 @@ class RequestScheduler:
         """Admit ``msg`` or return a rejection verdict (never raises)."""
         now = self.engine.now
         self.stats.submitted += 1
-        self._c_submitted.inc()
         cls = clamp_class(getattr(msg, "priority", 1))
         payload = getattr(msg, "payload", None)
         # 9P data ops carry their I/O size as ``payload.count``; other
@@ -247,7 +243,6 @@ class RequestScheduler:
         verdict = self._admit(source, cls, now)
         if verdict is not None:
             self.stats.rejected += 1
-            self._c_rejected.inc()
             self._log("reject", now, source, cls, verdict.reason)
             return verdict
         seq = self.stats.admitted
@@ -323,7 +318,6 @@ class RequestScheduler:
         try:
             if req.shed:
                 self.stats.shed += 1
-                self._c_shed.inc()
                 if not req.msg.oneway:
                     yield from req.channel.reply_error(
                         core,
@@ -346,12 +340,10 @@ class RequestScheduler:
             self.stats.completed += 1
             src.requests += 1
             src.bytes += req.cost
-            counter = self._src_bytes.get(req.source)
-            if counter is None:
-                counter = self._src_bytes[req.source] = (
-                    self.metrics.counter(f"sched.src.{req.source}.bytes")
+            if src.requests == 1:
+                self.metrics.counter(
+                    f"sched.src.{req.source}.bytes", lambda: src.bytes
                 )
-            counter.inc(req.cost)
         finally:
             self._inflight -= 1
             self._outstanding[req.source] -= 1

@@ -42,9 +42,6 @@ class CombiningStats:
     def avg_batch(self) -> float:
         return self.operations / self.batches if self.batches else 0.0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class _Request:
     """One published operation: a node in the MCS-style request queue."""

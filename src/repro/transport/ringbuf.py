@@ -102,9 +102,6 @@ class RingStats:
         self.memcpy_copies = 0
         self.bytes_transferred = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class Slot:
     """One variable-size element in the ring.
@@ -201,8 +198,11 @@ class RingBuffer:
         self.tracer = obs.tracer
         metrics = obs.metrics
         self._g_occupancy = metrics.gauge(f"ring.{name}.occupancy_bytes")
-        self._c_dma = metrics.counter(f"ring.{name}.copy.dma")
-        self._c_memcpy = metrics.counter(f"ring.{name}.copy.memcpy")
+        stats = self.stats
+        metrics.counter(f"ring.{name}.copy.dma", lambda: stats.dma_copies)
+        metrics.counter(
+            f"ring.{name}.copy.memcpy", lambda: stats.memcpy_copies
+        )
 
         # Functional truth (mutated only inside side-serialized ops).
         self._seq = 0
@@ -564,11 +564,9 @@ class RingBuffer:
             )
         if mode == "memcpy":
             self.stats.memcpy_copies += 1
-            self._c_memcpy.inc()
             yield from self.fabric.loadstore_copy(core, size)
         elif mode == "dma":
             self.stats.dma_copies += 1
-            self._c_dma.inc()
             if into_ring:
                 src, dst = side_cpu.node, self.master_cpu.node
             else:

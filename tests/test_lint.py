@@ -412,26 +412,6 @@ def test_lock_phase_ordered_ring_protocol_is_clean(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# unused-import
-# ----------------------------------------------------------------------
-def test_unused_import_flagged_and_init_exempt(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/x.py": """
-            import os
-            import json
-
-            def f():
-                return json.dumps({})
-        """,
-        "src/repro/__init__.py": """
-            from .x import f
-        """,
-    }, rules=["unused-import"])
-    assert len(findings) == 1
-    assert "'os' imported but unused" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # Suppression + baseline workflow
 # ----------------------------------------------------------------------
 def test_inline_allow_suppresses_finding(tmp_path):
@@ -450,36 +430,46 @@ def test_inline_allow_suppresses_finding(tmp_path):
 
 def test_file_level_allow_suppresses_whole_file(tmp_path):
     findings, suppressed = run_fixture(tmp_path, {
-        "src/repro/x.py": """
-            # lint: allow-file(unused-import)
-            import os
-            import sys
+        "src/repro/sim/fix.py": """
+            # lint: allow-file(coroutine-discipline)
+            def work(core):
+                yield 10
+
+            def driver(core):
+                work(core)
+                work(core)
+                yield 0
         """,
-    }, rules=["unused-import"])
+    }, rules=["coroutine-discipline"])
     assert findings == [] and suppressed == 2
+
+
+_WORK = "def work(core):\n    yield 10\n\ndef rest(core):\n    yield 20\n\n"
 
 
 def test_baseline_roundtrip(tmp_path):
     files = {
-        "src/repro/x.py": "import os\n",
+        "src/repro/sim/fix.py": _WORK + "def driver(core):\n    work(core)\n",
     }
     for rel, text in files.items():
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(text)
     project = load_project(tmp_path)
-    findings, _ = run_checkers(project, only=["unused-import"])
+    findings, _ = run_checkers(project, only=["coroutine-discipline"])
     assert len(findings) == 1
     write_baseline(tmp_path, project, findings)
     baseline = load_baseline(tmp_path)
     new, old = split_baselined(project, findings, baseline)
     assert new == [] and len(old) == 1
     # Fingerprints are content-based: a new finding is NOT covered.
-    (tmp_path / "src/repro/x.py").write_text("import os\nimport sys\n")
+    (tmp_path / "src/repro/sim/fix.py").write_text(
+        _WORK + "def driver(core):\n    work(core)\n    rest(core)\n"
+    )
     project2 = load_project(tmp_path)
-    findings2, _ = run_checkers(project2, only=["unused-import"])
+    findings2, _ = run_checkers(project2, only=["coroutine-discipline"])
     new2, old2 = split_baselined(project2, findings2, baseline)
-    assert len(new2) == 1 and "'sys'" in new2[0].message
+    assert len(new2) == 1 and "'rest'" in new2[0].message
     assert len(old2) == 1
 
 
@@ -511,12 +501,12 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
 
 
 def test_cli_json_output(tmp_path, capsys):
-    p = tmp_path / "src/repro/x.py"
+    p = tmp_path / "src/repro/sim/fix.py"
     p.parent.mkdir(parents=True)
-    p.write_text("import os\n")
+    p.write_text(_WORK + "def driver(core):\n    work(core)\n")
     assert lint_main(["--root", str(tmp_path), "--json"]) == 1
     out = capsys.readouterr().out
-    assert '"unused-import"' in out
+    assert '"coroutine-discipline"' in out
 
 
 def test_repo_is_clean_under_baseline(capsys):

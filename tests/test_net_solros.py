@@ -3,7 +3,7 @@ event dispatcher, shared listening socket with load balancing."""
 
 import pytest
 
-from repro.core import SolrosSystem
+from repro.core import SolrosConfig, SolrosSystem
 from repro.net import (
     ContentBasedBalancer,
     LeastLoadedBalancer,
@@ -14,15 +14,19 @@ from repro.net.testbed import NetTestbed
 from repro.sim import Engine
 
 
-@pytest.fixture()
-def env():
+def _boot(config=None):
     eng = Engine()
-    system = SolrosSystem(eng)
+    system = SolrosSystem(eng, config)
     eng.run_process(system.boot(n_phis=4))
     tb = NetTestbed(eng, system.machine)
     proxy = tb.solros_proxy()
     apis = [proxy.attach(system.dataplane(i)) for i in range(4)]
     return eng, system, tb, proxy, apis
+
+
+@pytest.fixture()
+def env():
+    return _boot()
 
 
 def run_client_echo_server(eng, tb, api, phi, port=9000, messages=5):
@@ -136,9 +140,9 @@ def test_shared_listening_round_robin(env):
     assert all(c == 2 for c in counts.values()), counts
 
 
-def test_content_based_balancing(env):
-    eng, system, tb, proxy, apis = env
-    port = 9200
+def content_balanced_echo(eng, system, tb, apis, port=9200):
+    """Eight one-request clients on a shared port whose content rule
+    sends key-k to member k % 4; returns payload -> serving phi."""
     served_by = {}
 
     balancer = ContentBasedBalancer(
@@ -174,9 +178,26 @@ def test_content_based_balancing(env):
     proc = eng.spawn(clients(eng))
     eng.run()
     assert proc.ok
+    return served_by
+
+
+def test_content_based_balancing(env):
+    eng, system, tb, proxy, apis = env
+    served_by = content_balanced_echo(eng, system, tb, apis)
     # Content rule: request key-k must land on phi (k % 4).
     for key in range(8):
         assert served_by[f"key-{key}"] == key % 4
+
+
+def test_content_balanced_inbound_meter_matches_stats():
+    # The content balancer forwards each connection's first request
+    # itself; net.inbound must count it like any other inbound message.
+    eng, system, tb, proxy, apis = _boot(SolrosConfig(trace=True))
+    content_balanced_echo(eng, system, tb, apis)
+    inbound = system.obs.metrics.get("net.inbound").to_dict()
+    assert proxy.stats.messages_in == 8
+    assert inbound["ops"] == proxy.stats.messages_in
+    assert inbound["bytes"] == proxy.stats.bytes_in
 
 
 def test_least_loaded_balancer_prefers_idle_member():

@@ -142,13 +142,13 @@ def test_null_tracer_is_inert():
 def test_registry_creates_and_reuses_by_name():
     eng = Engine()
     reg = MetricsRegistry(eng)
-    c = reg.counter("rpc.calls")
+    c = reg.counter("rpc.calls", lambda: 0)
     g = reg.gauge("ring.occ")
     h = reg.histogram("batch")
     m = reg.meter("net.out")
     assert isinstance(c, Counter) and isinstance(g, Gauge)
     assert isinstance(h, HistogramMetric) and isinstance(m, RateMeter)
-    assert reg.counter("rpc.calls") is c
+    assert reg.counter("rpc.calls", lambda: 1) is c and c.value == 0
     assert len(reg) == 4 and "ring.occ" in reg
     with pytest.raises(TypeError):
         reg.gauge("rpc.calls")
@@ -157,12 +157,13 @@ def test_registry_creates_and_reuses_by_name():
 def test_counter_and_gauge_semantics():
     eng = Engine()
     reg = MetricsRegistry(eng)
-    c = reg.counter("hits")
-    c.inc()
-    c.inc(4)
+    # A counter is pulled: it reads its owner's field when asked.
+    stats = {"hits": 0}
+    c = reg.counter("hits", lambda: stats["hits"])
+    assert c.value == 0
+    stats["hits"] += 5
     assert c.value == 5
-    with pytest.raises(ValueError):
-        c.inc(-1)
+    assert reg.snapshot()["hits"] == {"type": "counter", "value": 5}
 
     g = reg.gauge("depth")
 
@@ -198,7 +199,7 @@ def test_rate_meter_ticks_on_sim_clock():
 def test_snapshot_is_json_ready():
     eng = Engine()
     reg = MetricsRegistry(eng)
-    reg.counter("a").inc()
+    reg.counter("a", lambda: 1)
     reg.gauge("b").set(1.5)
     reg.histogram("c").record(10)
     reg.meter("d").add(nbytes=100)
@@ -311,10 +312,9 @@ def test_null_hooks_answer_and_record_nothing():
     assert NULL_HUB.metrics is NULL_METRICS
     assert NULL_HUB.faults is NULL_FAULTS
     # One shared do-nothing instrument, whatever the type or name.
-    inst = NULL_METRICS.counter("a.b")
+    inst = NULL_METRICS.counter("a.b", lambda: 1)
     assert inst is NULL_METRICS.gauge("c.d") is NULL_METRICS.histogram("e.f")
     assert inst is NULL_METRICS.meter("g.h")
-    inst.inc()
     inst.set(1.5)
     inst.add(-1)
     inst.add(4096, nops=2)
@@ -418,7 +418,7 @@ def test_capture_hook_collects_systems():
 # Golden export: the exact series and spans one seeded run produces
 # ----------------------------------------------------------------------
 GOLDEN_EXPORT_SHA256 = (
-    "d0b0651149f91e62f00f0203e20878c4c611ae0b485dbee93def4e673a27f96a"
+    "8a989199b8a8e23d3b9b98bd47171f3e254615c5d7e25198f1e43172ca2e1725"
 )
 
 

@@ -1,9 +1,9 @@
 """Remaining edge coverage: engine any_of, packets, ring validation,
-NVMe stats reset, store ordering under handoff, topology queries."""
+store ordering under handoff, topology queries."""
 
 import pytest
 
-from repro.hw import KB, NvmeOp, build_machine
+from repro.hw import KB, build_machine
 from repro.net.packets import MSS, Segment, SocketAddr
 from repro.sim import Engine, SimError
 from repro.transport import RingBuffer, RingPolicy
@@ -121,22 +121,6 @@ def test_ring_unknown_copy_mode_rejected():
 
     with pytest.raises(SimError, match="copy mode"):
         eng.run_process(flow(eng))
-
-
-def test_nvme_stats_reset():
-    eng = Engine()
-    m = build_machine(eng)
-
-    def io(eng):
-        yield from m.nvme.submit(
-            m.host_core(0), [NvmeOp("read", 0, 4 * KB, "numa0")]
-        )
-
-    eng.run_process(io(eng))
-    assert m.nvme.stats.commands == 1
-    m.nvme.stats.reset()
-    assert m.nvme.stats.commands == 0
-    assert m.nvme.stats.bytes_read == 0
 
 
 def test_fabric_path_latency_and_same_node():
